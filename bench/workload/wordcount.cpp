@@ -82,7 +82,7 @@ double nativeSequential(const std::vector<std::string>& lines, const Params& p) 
 
 double nativePipeline(const std::vector<std::string>& lines, const Params& p) {
   // Producer: split + wordToNumber. Consumer (this thread): hash + sum.
-  BlockingQueue<BigInt> queue(p.queueCapacity);
+  SpscRing<BigInt> queue(p.queueCapacity);
   std::jthread producer([&] {
     for (const auto& line : lines) {
       for (const auto& word : splitWords(line)) {

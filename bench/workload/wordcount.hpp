@@ -10,7 +10,7 @@
 // Java methods invoked from both the embedded Unicon and the Java
 // stream programs. What differs is the coordination:
 //
-//   native suite   — plain C++: a loop; a two-thread BlockingQueue
+//   native suite   — plain C++: a loop; a two-thread SpscRing
 //                    pipeline; a thread-pool data-parallel map with
 //                    serial reduction; a chunked map-reduce (the "Java
 //                    parallel streams" analogue that normalizes Fig. 6).
@@ -42,14 +42,14 @@ double hashHeavy(const BigInt& n);
 struct Params {
   bool heavy = false;
   std::size_t chunkSize = 64;       // map-reduce / data-parallel chunking
-  std::size_t queueCapacity = 256;  // pipeline blocking-queue bound
+  std::size_t queueCapacity = 256;  // pipeline channel bound
   std::size_t pipeBatch = Pipe::kDefaultBatch;  // bulk hand-off cap (1 = per-element)
 };
 
 // -- native C++ suite ----------------------------------------------------
 double nativeSequential(const std::vector<std::string>& lines, const Params& p);
-/// Two threads connected by a BlockingQueue: producer does split +
-/// wordToNumber, consumer hashes and sums.
+/// Two threads connected by an SpscRing (the pipe's own transport):
+/// producer does split + wordToNumber, consumer hashes and sums.
 double nativePipeline(const std::vector<std::string>& lines, const Params& p);
 /// Chunked parallel map producing hash vectors; serial reduction
 /// ("split out the reduction and effecting serialization").

@@ -20,17 +20,17 @@ std::uint64_t mix(std::uint64_t x) {
 
 const char* faultSiteName(FaultSite site) noexcept {
   switch (site) {
-    case FaultSite::QueuePut: return "BlockingQueue::put";
-    case FaultSite::QueueTake: return "BlockingQueue::take";
-    case FaultSite::QueueTryPut: return "BlockingQueue::tryPut";
-    case FaultSite::QueueTryTake: return "BlockingQueue::tryTake";
-    case FaultSite::QueueClose: return "BlockingQueue::close";
+    case FaultSite::QueuePut: return "SpscRing::put";
+    case FaultSite::QueueTake: return "SpscRing::take";
+    case FaultSite::QueueTryPut: return "SpscRing::tryPut";
+    case FaultSite::QueueTryTake: return "SpscRing::tryTake";
+    case FaultSite::QueueClose: return "SpscRing::close";
     case FaultSite::PoolSubmit: return "ThreadPool::submit";
     case FaultSite::PoolTaskRun: return "ThreadPool::workerLoop";
-    case FaultSite::QueuePutAll: return "BlockingQueue::putAll";
-    case FaultSite::QueueTakeUpTo: return "BlockingQueue::takeUpTo";
+    case FaultSite::QueuePutAll: return "SpscRing::putAll";
+    case FaultSite::QueueTakeUpTo: return "SpscRing::takeUpTo";
     case FaultSite::PipeBatchFlush: return "Pipe::batchFlush";
-    case FaultSite::QueueTimedWait: return "BlockingQueue::timedWait";
+    case FaultSite::QueueTimedWait: return "SpscRing::*For";
     case FaultSite::CancelSignal: return "StopSource::requestStop";
     case FaultSite::PoolSteal: return "ThreadPool::steal";
     case FaultSite::ArenaAlloc: return "Arena::systemAlloc";

@@ -1,7 +1,6 @@
 #include "concur/pipe.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <mutex>
 #include <ostream>
 #include <set>
@@ -55,15 +54,15 @@ void unregisterPipe(const Pipe* p) {
 /// (one relaxed load) and every flush waits cancellably, so a cancelled
 /// pipe's producer returns within one queue operation even with the
 /// queue full.
-void runBatchedProducer(const std::shared_ptr<Channel<Value>>& queue, Gen& body,
-                        std::size_t cap, const CancelToken& token) {
+void runBatchedProducer(SpscRing<Value>& queue, Gen& body, std::size_t cap,
+                        const CancelToken& token) {
   std::vector<Value> buffer;
   std::size_t accepted = 0;
   std::size_t batch = 1;
   bool open = true;
   while (open && !token.cancelled()) {
-    const std::size_t size = queue->size();
-    const std::size_t spare = queue->capacity() > size ? queue->capacity() - size : 0;
+    const std::size_t size = queue.size();
+    const std::size_t spare = queue.capacity() > size ? queue.capacity() - size : 0;
     const std::size_t goal =
         std::clamp<std::size_t>(std::min(batch, spare), 1, cap);
     bool starved = false;
@@ -79,7 +78,7 @@ void runBatchedProducer(const std::shared_ptr<Channel<Value>>& queue, Gen& body,
           open = false;
           break;
         }
-        if (queue->waitingConsumers() > 0) {
+        if (queue.waitingConsumers() > 0) {
           starved = true;  // consumer is blocked: flush now, batch smaller
           break;
         }
@@ -89,14 +88,14 @@ void runBatchedProducer(const std::shared_ptr<Channel<Value>>& queue, Gen& body,
       // an error; flush the intact buffer (best effort) before letting
       // the error propagate to the consumer.
       try {
-        if (!buffer.empty()) queue->putAllFor(buffer, accepted, token);
+        if (!buffer.empty()) queue.putAllFor(buffer, accepted, token);
       } catch (...) {
       }
       throw;
     }
     if (buffer.empty()) break;
     CONGEN_FAULT_POINT(PipeBatchFlush);
-    if (queue->putAllFor(buffer, accepted, token) != QueueOpStatus::kOk) {
+    if (queue.putAllFor(buffer, accepted, token) != QueueOpStatus::kOk) {
       break;  // consumer abandoned or cancelled us
     }
     if (obs::metricsEnabled()) [[unlikely]] {
@@ -112,33 +111,28 @@ void countErrorStored() {
   }
 }
 
-/// Apply the ambient governor's pipe-depth clamp to a requested queue
-/// capacity (graceful degradation — see governor.hpp).
-std::size_t governedCapacity(std::size_t capacity) {
-  if (const auto* gov = governor::current()) return gov->clampPipeCapacity(capacity);
-  return capacity;
+/// The one place a requested capacity is resolved: the ambient
+/// governor's pipe-depth clamp (graceful degradation — see
+/// governor.hpp), then the [1, Pipe::kMaxCapacity] bound every pipe
+/// keeps.
+std::size_t boundedCapacity(std::size_t capacity) {
+  if (const auto* gov = governor::current()) capacity = gov->clampPipeCapacity(capacity);
+  return std::clamp<std::size_t>(capacity, 1, Pipe::kMaxCapacity);
 }
 
 }  // namespace
 
-Pipe::Pipe(GenFactory factory, std::size_t capacity, ThreadPool& pool, std::size_t batchCap,
-           ChannelTransport transport)
-    : Pipe(Resolved{}, std::move(factory), governedCapacity(capacity), pool, batchCap, transport) {}
-
-Pipe::Pipe(Resolved, GenFactory factory, std::size_t capacity, ThreadPool& pool,
-           std::size_t batchCap, ChannelTransport transport)
+Pipe::Pipe(GenFactory factory, std::size_t capacity, ThreadPool& pool, std::size_t batchCap)
     : CoExpression(std::move(factory)),
-      state_(std::make_shared<State>(capacity, transport)),
-      capacity_(capacity),
+      state_(std::make_shared<State>(boundedCapacity(capacity))),
       pool_(&pool),
       // Capacity <= 1 pipes are futures/mailboxes: latency-sensitive and
-      // single-valued, so they always run the unbatched protocol. A
-      // bounded queue also clamps the cap — batching past capacity
-      // could never publish in one flush anyway.
-      batchCap_(state_->queue->capacity() <= 1 || batchCap <= 1
+      // single-valued, so they always run the unbatched protocol. The
+      // capacity also clamps the cap — batching past capacity could
+      // never publish in one flush anyway.
+      batchCap_(state_->queue.capacity() <= 1 || batchCap <= 1
                     ? 1
-                    : std::min(batchCap, state_->queue->capacity())),
-      transport_(transport) {
+                    : std::min(batchCap, state_->queue.capacity())) {
   // A pipe created inside a producer body (the ambient CancelScope is
   // that producer's token) hangs itself under it, so cancelling the
   // downstream consumer reaches lazily-created inner pipes too.
@@ -167,7 +161,7 @@ Pipe::Pipe(Resolved, GenFactory factory, std::size_t capacity, ThreadPool& pool,
         while (!token.cancelled()) {
           auto v = body->nextValue();
           if (!v) break;
-          if (state->queue->putFor(std::move(*v), token) != QueueOpStatus::kOk) {
+          if (state->queue.putFor(std::move(*v), token) != QueueOpStatus::kOk) {
             break;  // consumer abandoned or cancelled us
           }
         }
@@ -209,7 +203,7 @@ Pipe::Pipe(Resolved, GenFactory factory, std::size_t capacity, ThreadPool& pool,
       countErrorStored();
       state->source.requestStop();
     }
-    state->queue->close();  // end-of-stream
+    state->queue.close();  // end-of-stream
   });
   // Register only after submit succeeded: a throwing ctor must not leave
   // a dangling registry entry.
@@ -223,7 +217,7 @@ Pipe::Pipe(Resolved, GenFactory factory, std::size_t capacity, ThreadPool& pool,
 
 Pipe::~Pipe() {
   unregisterPipe(this);
-  state_->queue->close();
+  state_->queue.close();
   if (obs::metricsEnabled()) [[unlikely]] {
     obs::PipeStats::get().live.sub(1);
   }
@@ -246,14 +240,14 @@ std::optional<Value> Pipe::step(QueueDeadline deadline) {
   if (batchCap_ > 1) {
     if (drainedPos_ >= drained_.size()) {
       drainedPos_ = 0;
-      const auto status = state_->queue->takeUpToFor(drained_, batchCap_, token, deadline);
+      const auto status = state_->queue.takeUpToFor(drained_, batchCap_, token, deadline);
       if (status == QueueOpStatus::kTimedOut) return std::nullopt;  // re-activatable
       if (status == QueueOpStatus::kCancelled && producerErrorPending()) {
         // Containment, not abandonment: the stop came from this pipe's
         // own failing producer, which flushed its delivered prefix and
         // is closing the queue. Drain with the plain (non-cancellable)
         // op so the prefix reaches the consumer before the error does.
-        drained_ = state_->queue->takeUpTo(batchCap_);
+        drained_ = state_->queue.takeUpTo(batchCap_);
       }
     }
     if (drainedPos_ < drained_.size()) {
@@ -263,10 +257,10 @@ std::optional<Value> Pipe::step(QueueDeadline deadline) {
     }
   } else {
     std::optional<Value> v;
-    const auto status = state_->queue->takeFor(v, token, deadline);
+    const auto status = state_->queue.takeFor(v, token, deadline);
     if (status == QueueOpStatus::kTimedOut) return std::nullopt;  // re-activatable
     if (status == QueueOpStatus::kCancelled && producerErrorPending()) {
-      v = state_->queue->take();  // containment: see the batched branch
+      v = state_->queue.take();  // containment: see the batched branch
     }
     if (v) {
       produced_.fetch_add(1, std::memory_order_relaxed);
@@ -293,7 +287,7 @@ bool Pipe::producerErrorPending() const {
 }
 
 CoExprPtr Pipe::refreshed() const {
-  return Pipe::create(factory(), capacity_, *pool_, batchCap_, transport_);
+  return Pipe::create(factory(), state_->queue.capacity(), *pool_, batchCap_);
 }
 
 void Pipe::dumpAll(std::ostream& os) {
@@ -317,28 +311,26 @@ void Pipe::dumpAll(std::ostream& os) {
        << " poolThreadsLive=" << snap.gaugeValue("pool.threads_live") << "\n";
   }
   for (const Pipe* p : *r.pipes) {
-    const auto& q = *p->state_->queue;
+    const auto& q = p->state_->queue;
     bool hasError = false;
     {
       std::lock_guard el(p->state_->errorMutex);
       hasError = p->state_->error != nullptr;
     }
-    os << "  pipe@" << static_cast<const void*>(p) << " queued=" << q.size() << "/"
-       << (q.capacity() == std::numeric_limits<std::size_t>::max() ? 0 : q.capacity())
+    os << "  pipe@" << static_cast<const void*>(p) << " queued=" << q.size() << "/" << q.capacity()
        << " closed=" << (q.closed() ? 1 : 0)
        << " cancelled=" << (p->cancelRequested() ? 1 : 0)
        << " finished=" << (p->finished_.load(std::memory_order_relaxed) ? 1 : 0)
        << " delivered=" << p->produced_.load(std::memory_order_relaxed)
-       << " pendingError=" << (hasError ? 1 : 0) << " batchCap=" << p->batchCap_
-       << " transport=" << (q.lockFree() ? "spsc" : "mutex") << "\n";
+       << " pendingError=" << (hasError ? 1 : 0) << " batchCap=" << p->batchCap_ << "\n";
   }
 }
 
 GenPtr makePipeCreateGen(GenFactory bodyFactory, std::size_t capacity, ThreadPool& pool,
-                         std::size_t batchCap, ChannelTransport transport) {
+                         std::size_t batchCap) {
   return CoExprCreateGen::create(
-      std::move(bodyFactory), [capacity, &pool, batchCap, transport](GenFactory f) -> CoExprPtr {
-        return Pipe::create(std::move(f), capacity, pool, batchCap, transport);
+      std::move(bodyFactory), [capacity, &pool, batchCap](GenFactory f) -> CoExprPtr {
+        return Pipe::create(std::move(f), capacity, pool, batchCap);
       });
 }
 

@@ -11,9 +11,9 @@
 #include "bignum/bigint.hpp"
 #include "builtins/builtins.hpp"
 #include "coexpr/shadow.hpp"
-#include "concur/blocking_queue.hpp"
 #include "concur/cancel.hpp"
 #include "concur/pipe.hpp"
+#include "concur/spsc_ring.hpp"
 #include "concur/thread_pool.hpp"
 #include "frontend/parser.hpp"
 #include "interp/interpreter.hpp"

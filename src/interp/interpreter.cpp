@@ -477,13 +477,10 @@ class Compiler {
 
 namespace {
 
-/// Resolve Options::quotas (folding in the legacy vmStepLimit fuel
-/// alias) into a governor, or null for an ungoverned interpreter. Runs
-/// the admission gate — may throw IconError 815 (the shed path).
-std::shared_ptr<governor::ResourceGovernor> makeGovernor(Interpreter::Options& options) {
-  if (options.quotas.maxFuel == 0 && options.vmStepLimit != 0) {
-    options.quotas.maxFuel = options.vmStepLimit;
-  }
+/// Resolve Options::quotas into a governor, or null for an ungoverned
+/// interpreter. Runs the admission gate — may throw IconError 815 (the
+/// shed path).
+std::shared_ptr<governor::ResourceGovernor> makeGovernor(const Interpreter::Options& options) {
   if (!options.quotas.any() && !options.governed) return nullptr;
   return governor::ResourceGovernor::create(options.quotas);
 }

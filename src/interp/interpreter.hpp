@@ -55,16 +55,11 @@ class Interpreter {
     /// runs governed, on whichever thread it happens (pipe producers
     /// re-install the creator's governor). Exhaustion raises the
     /// catchable 81x errQuotaExceeded family.
-    governor::Limits quotas;
+    governor::Limits quotas{};
     /// Create a (limitless) governor even when quotas are all-zero, so
     /// the session has a StopSource root and can be supervised
     /// (congen-run --supervise without --max-*).
     bool governed = false;
-    /// Legacy alias for quotas.maxFuel: the old VM-only dispatch budget,
-    /// honored when quotas.maxFuel is 0. It now draws on the unified
-    /// fuel counter (BOTH backends charge it) and exhaustion raises
-    /// IconError 810, not the retired 316.
-    std::uint64_t vmStepLimit = 0;
   };
 
   Interpreter() : Interpreter(Options{}) {}

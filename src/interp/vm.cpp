@@ -236,35 +236,28 @@ bool VmGen::convertError(const IconError& e) {
   return true;
 }
 
-// Dispatch strategy. On GCC/Clang the forward loop is token-threaded:
-// every op body ends by fetching and computing `goto *kOpLabels[op]`
-// *inline* (VM_NEXT replicates the fetch), so each opcode gets its own
-// indirect branch and the predictor learns per-op successor patterns —
+// Dispatch strategy: the forward loop is token-threaded. Every op body
+// ends by fetching and computing `goto *kOpLabels[op]` *inline*
+// (VM_NEXT replicates the fetch), so each opcode gets its own indirect
+// branch and the predictor learns per-op successor patterns —
 // funnelling every transition through one shared fetch site would
-// alias them all onto a single branch, which is the switch loop's
-// exact weakness. Define CONGEN_VM_SWITCH_DISPATCH to force the
-// portable switch fallback (useful for debugging: every op body is
-// then reachable from one switch head, and a breakpoint on the fetch
-// label sees each dispatch). Both modes share the op bodies verbatim
-// via VM_OP/VM_NEXT/VM_FAIL, and both count exactly one steps_
-// increment per dispatched instruction.
-#if !defined(CONGEN_VM_SWITCH_DISPATCH) && (defined(__GNUC__) || defined(__clang__))
-#define CONGEN_VM_THREADED 1
-#else
-#define CONGEN_VM_THREADED 0
+// alias them all onto a single branch, which is a switch loop's exact
+// weakness. Computed goto is a GNU extension; GCC and Clang, the
+// supported compilers, both provide it.
+#if !defined(__GNUC__) && !defined(__clang__)
+#error "the VM's token-threaded dispatch needs computed goto (GCC or Clang)"
 #endif
 
-#if CONGEN_VM_THREADED
 #define VM_OP(name) op_##name:
-// Replicated fetch: identical to the vm_fetch site, one steps_ tick
-// per dispatch; the cold periodic fuel sync is shared via vm_step_limit.
+// Fetch: one steps_ tick per dispatch; the cold periodic fuel sync is
+// shared via vm_step_limit.
 //
 // INVARIANT: no local with a non-trivial destructor may be in scope at
-// a VM_NEXT() — the computed goto is a GNU extension and does NOT run
-// destructors when it leaves their block (unlike the plain gotos behind
-// VM_FAIL() and vm_fetch, which do). An owning Result/Value local alive
-// at VM_NEXT leaks its reference silently. Op bodies therefore close an
-// inner brace over any such locals before dispatching.
+// a VM_NEXT() — the computed goto does NOT run destructors when it
+// leaves their block (unlike the plain goto behind VM_FAIL(), which
+// does). An owning Result/Value local alive at VM_NEXT leaks its
+// reference silently. Op bodies therefore close an inner brace over any
+// such locals before dispatching.
 #define VM_NEXT()                                               \
   do {                                                          \
     curPc_ = pc_;                                               \
@@ -272,10 +265,6 @@ bool VmGen::convertError(const IconError& e) {
     if (++steps_ >= stepLimitTrip_) goto vm_step_limit;         \
     goto* kOpLabels[static_cast<std::size_t>(ins->op)];         \
   } while (0)
-#else
-#define VM_OP(name) case Op::name:
-#define VM_NEXT() goto vm_fetch
-#endif
 #define VM_FAIL() goto vm_fail
 
 bool VmGen::run(Result& out) {
@@ -299,7 +288,6 @@ bool VmGen::run(Result& out) {
   }
 
   const Insn* code = chunk_->code.data();
-#if CONGEN_VM_THREADED
   // Indexed by Op; order must mirror the enum (pinned by the assert).
   static const void* const kOpLabels[] = {
       &&op_kConst,      &&op_kLoadVar,  &&op_kLoadSlot,     &&op_kLoadLate,
@@ -315,7 +303,6 @@ bool VmGen::run(Result& out) {
   };
   static_assert(sizeof(kOpLabels) / sizeof(kOpLabels[0]) == kOpCount,
                 "dispatch table out of sync with the Op enum");
-#endif
   const Insn* ins = nullptr;
   for (;;) {
     try {
@@ -391,9 +378,8 @@ bool VmGen::run(Result& out) {
 
         // Forward dispatch. Within an op body: VM_NEXT() executes the
         // next instruction, VM_FAIL() efails the current one, `return`
-        // yields. Jump ops assign pc_ directly. Both dispatch modes run
-        // this single fetch site, so steps_ counts dispatches exactly.
-#if CONGEN_VM_THREADED
+        // yields. Jump ops assign pc_ directly. Every fetch goes through
+        // VM_NEXT, so steps_ counts dispatches exactly.
         VM_NEXT();
       vm_step_limit:
         // Not a limit at all: the periodic fuel sync point. syncFuel may
@@ -402,15 +388,6 @@ bool VmGen::run(Result& out) {
         // otherwise re-dispatch the already-fetched instruction.
         syncFuel();
         goto* kOpLabels[static_cast<std::size_t>(ins->op)];
-#else
-      vm_fetch:
-        curPc_ = pc_;
-        ins = &code[pc_++];
-        if (++steps_ >= stepLimitTrip_) [[unlikely]] {
-          syncFuel();
-        }
-        switch (ins->op) {
-#endif
             VM_OP(kConst)
               stack_.emplace_back(chunk_->consts[static_cast<std::size_t>(ins->a)], nullptr);
               VM_NEXT();
@@ -855,9 +832,6 @@ bool VmGen::run(Result& out) {
               if (fl == Flow::Efail) VM_FAIL();
               VM_NEXT();
             }
-#if !CONGEN_VM_THREADED
-        }
-#endif
       vm_fail:
         flow = Flow::Efail;
       }

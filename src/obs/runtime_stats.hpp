@@ -14,18 +14,20 @@
 //   put.elements + put.batch_elements ==
 //       take.elements + take.batch_elements + depth + dropped_on_close
 //
-// and put.batch_size histogram sum == put.batch_elements. BlockingQueue
-// updates its counters under the queue lock; SpscRing updates the same
-// counters lock-free from its owning sides. Either way every transferred
-// element is counted exactly once, so the identities hold exactly at
-// quiescence — the stress Environment polls teardown until they settle.
+// and put.batch_size histogram sum == put.batch_elements. SpscRing
+// updates these counters lock-free from its owning sides; every
+// transferred element is counted exactly once, so the identities hold
+// exactly at quiescence — the stress Environment polls teardown until
+// they settle.
 #pragma once
 
 #include "obs/metrics.hpp"
 
 namespace congen::obs {
 
-/// BlockingQueue<T> — aggregated over every instantiation and instance.
+/// The pipe channel's transfer ledger (SpscRing<T>) — aggregated over
+/// every instantiation and instance. The names keep their historical
+/// queue.* prefix.
 struct QueueStats {
   Counter& putElements;       ///< scalar put()/tryPut()/putFor() successes
   Counter& putBatches;        ///< bulk publications (one per putAll flush)
@@ -63,13 +65,11 @@ struct PoolStats {
 };
 
 /// SpscRing<T> — the lock-free pipe transport. Transfer counters live in
-/// QueueStats (the conservation ledger is transport-agnostic); these
-/// cover what only the ring has: futex parking instead of CV waits. The
-/// ring updates the shared QueueStats OUTSIDE any lock (it has none) via
-/// the same striped relaxed atomics — exact at quiescence, which is all
+/// QueueStats; these cover the ring's own lifecycle and futex parking.
+/// Both are striped relaxed atomics — exact at quiescence, which is all
 /// the conservation Environment's polled teardown requires.
 struct RingStats {
-  Counter& created;        ///< rings constructed (vs. mutex-queue pipes)
+  Counter& created;        ///< rings constructed (one per pipe)
   Counter& producerParks;  ///< producer futex-park episodes (ring full)
   Counter& consumerParks;  ///< consumer futex-park episodes (ring empty)
   Counter& wakes;          ///< cross-side wakeups issued (parked flag seen)

@@ -76,14 +76,13 @@ class TasksGen final : public Gen {
   using TaskFactory = std::function<GenFactory(ListPtr chunk)>;
 
   TasksGen(GenFactory source, std::int64_t chunkSize, std::size_t capacity, ThreadPool* pool,
-           std::size_t batch, ChannelTransport transport, TaskFactory makeTaskBody, int maxRetries,
+           std::size_t batch, TaskFactory makeTaskBody, int maxRetries,
            std::int64_t backoffBaseMicros)
       : source_(std::move(source)),
         chunkSize_(chunkSize),
         capacity_(capacity),
         pool_(pool),
         batch_(batch),
-        transport_(transport),
         makeTaskBody_(std::move(makeTaskBody)),
         maxRetries_(maxRetries),
         backoffBaseMicros_(backoffBaseMicros) {}
@@ -140,7 +139,7 @@ class TasksGen final : public Gen {
     while (auto c = chunks.nextValue()) {
       Task t;
       t.body = makeTaskBody_(c->list());
-      t.pipe = Pipe::create(t.body, capacity_, *pool_, batch_, transport_);
+      t.pipe = Pipe::create(t.body, capacity_, *pool_, batch_);
       tasks_.push_back(std::move(t));
     }
   }
@@ -159,7 +158,7 @@ class TasksGen final : public Gen {
       std::this_thread::sleep_for(std::chrono::microseconds(micros));
     }
     t.toSkip = t.emitted;
-    t.pipe = Pipe::create(t.body, capacity_, *pool_, batch_, transport_);
+    t.pipe = Pipe::create(t.body, capacity_, *pool_, batch_);
   }
 
   GenFactory source_;
@@ -167,7 +166,6 @@ class TasksGen final : public Gen {
   std::size_t capacity_;
   ThreadPool* pool_;
   std::size_t batch_;
-  ChannelTransport transport_;
   TaskFactory makeTaskBody_;
   int maxRetries_;
   std::int64_t backoffBaseMicros_;
@@ -196,8 +194,7 @@ GenPtr DataParallel::mapReduce(ProcPtr f, GenFactory source, ProcPtr r, Value in
     };
   };
   return std::make_shared<TasksGen>(std::move(source), chunkSize_, pipeCapacity_, pool_, pipeBatch_,
-                                    transport_, std::move(makeTaskBody), maxRetries_,
-                                    backoffBaseMicros_);
+                                    std::move(makeTaskBody), maxRetries_, backoffBaseMicros_);
 }
 
 GenPtr DataParallel::mapFlat(ProcPtr f, GenFactory source) const {
@@ -209,8 +206,7 @@ GenPtr DataParallel::mapFlat(ProcPtr f, GenFactory source) const {
     };
   };
   return std::make_shared<TasksGen>(std::move(source), chunkSize_, pipeCapacity_, pool_, pipeBatch_,
-                                    transport_, std::move(makeTaskBody), maxRetries_,
-                                    backoffBaseMicros_);
+                                    std::move(makeTaskBody), maxRetries_, backoffBaseMicros_);
 }
 
 }  // namespace congen

@@ -406,9 +406,7 @@ std::size_t ResourceGovernor::clampPipeCapacity(std::size_t capacity) const noex
   if (limit == 0) return capacity;
   // Graceful degradation, not an error: an oversized request shrinks to
   // the budget (backpressure arrives earlier; semantics are unchanged).
-  // Capacity 0 is an *unbounded* request (see concur/channel.hpp) — it
-  // clamps down to the budget too.
-  if (capacity == 0) return static_cast<std::size_t>(limit);
+  // Pipe then bounds the result into [1, Pipe::kMaxCapacity].
   return std::min<std::size_t>(capacity, static_cast<std::size_t>(limit));
 }
 

@@ -12,7 +12,7 @@
 //                   batched through thread-local reservations;
 //  - fuel           a unified evaluation-step counter charged by both
 //                   the tree walker's next() spine and the VM dispatch
-//                   loop (replacing the VM-only vmStepLimit);
+//                   loop (Interpreter::Options::quotas.maxFuel);
 //  - pipes / co-expressions
 //                   live-object counts charged at construction (a pipe
 //                   also counts as a co-expression: it is one);

@@ -50,19 +50,19 @@ class RcBase {
   /// Icon error 305 with the charge credited back.
   static void* operator new(std::size_t bytes) {
     governor::onHeapAlloc(bytes);  // may throw 811/816; nothing charged then
-    try {
-      CONGEN_FAULT_POINT(RcAlloc);
-      return ::operator new(bytes);
-    } catch (const testing::InjectedFault&) {
-    } catch (const std::bad_alloc&) {
-    }
-    governor::onHeapFree(bytes);
-    throw errOutOfMemory("value payload");
+    return allocatePayload(bytes);
   }
   static void operator delete(void* p, std::size_t bytes) noexcept {
     ::operator delete(p);
     governor::onHeapFree(bytes);
   }
+
+  /// The fallible half of operator new, out of line: ::operator new plus
+  /// the 305 conversion (bytes were already charged). Keeping it out of
+  /// line also lets operator new inline into every `new T` site, so the
+  /// compiler pairs the ::operator new inside it with the ::operator
+  /// delete in operator delete.
+  [[nodiscard]] static void* allocatePayload(std::size_t bytes);
 
   /// Bump the refcount. Relaxed: acquiring a new reference needs no
   /// ordering — the holder already reaches the object through a pointer

@@ -12,6 +12,17 @@
 
 namespace congen {
 
+void* RcBase::allocatePayload(std::size_t bytes) {
+  try {
+    CONGEN_FAULT_POINT(RcAlloc);
+    return ::operator new(bytes);
+  } catch (const testing::InjectedFault&) {
+  } catch (const std::bad_alloc&) {
+  }
+  governor::onHeapFree(bytes);
+  throw errOutOfMemory("value payload");
+}
+
 // fromHeap/asRc reinterpret the stored pointer across the RcBase<->payload
 // boundary; that is only sound while RcBase is a (polymorphic, hence
 // primary, hence offset-zero) base of every payload class.

@@ -1,5 +1,6 @@
 // cancel_test.cpp — structured cancellation, deadlines, and failure
-// containment (cancel.hpp, the queue *For family, and the pipe layer).
+// containment (cancel.hpp and the pipe layer; the ring's *For family is
+// pinned in spsc_ring_test.cpp).
 #include "concur/cancel.hpp"
 
 #include <gtest/gtest.h>
@@ -9,7 +10,6 @@
 #include <thread>
 
 #include "../testutil.hpp"
-#include "concur/blocking_queue.hpp"
 #include "concur/pipe.hpp"
 #include "par/pipeline.hpp"
 #include "runtime/error.hpp"
@@ -18,10 +18,6 @@ namespace congen {
 namespace {
 
 using namespace std::chrono_literals;
-
-QueueDeadline after(std::chrono::milliseconds d) {
-  return std::chrono::steady_clock::now() + d;
-}
 
 /// Generator yielding 1..n, then throwing the given Icon error.
 GenPtr throwingAfter(int n, int errNumber) {
@@ -128,114 +124,6 @@ TEST(CancelScope, AmbientTokenNestsAndRestores) {
 }
 
 // ---------------------------------------------------------------------
-// Cancellable / deadline-bounded queue operations
-// ---------------------------------------------------------------------
-
-TEST(QueueFor, FastPathsMatchPlainOperations) {
-  BlockingQueue<int> q(4);
-  StopSource s;
-  const auto t = s.token();
-  EXPECT_EQ(q.putFor(1, t), QueueOpStatus::kOk);
-  std::optional<int> out;
-  EXPECT_EQ(q.takeFor(out, t), QueueOpStatus::kOk);
-  EXPECT_EQ(out, 1);
-  q.close();
-  EXPECT_EQ(q.putFor(2, t), QueueOpStatus::kClosed);
-  EXPECT_EQ(q.takeFor(out, t), QueueOpStatus::kClosed);
-  EXPECT_FALSE(out.has_value());
-}
-
-TEST(QueueFor, DeadlineExpiryReturnsTimedOut) {
-  BlockingQueue<int> q(1);
-  StopSource s;
-  EXPECT_EQ(q.putFor(1, s.token()), QueueOpStatus::kOk);
-  EXPECT_EQ(q.putFor(2, s.token(), after(30ms)), QueueOpStatus::kTimedOut) << "queue full";
-  std::optional<int> out;
-  EXPECT_EQ(q.takeFor(out, s.token()), QueueOpStatus::kOk);
-  EXPECT_EQ(q.takeFor(out, s.token(), after(30ms)), QueueOpStatus::kTimedOut) << "queue empty";
-  std::vector<int> batch;
-  EXPECT_EQ(q.takeUpToFor(batch, 8, s.token(), after(30ms)), QueueOpStatus::kTimedOut);
-}
-
-TEST(QueueFor, CancelWakesBlockedPutWithinOneOperation) {
-  BlockingQueue<int> q(1);
-  StopSource s;
-  ASSERT_EQ(q.putFor(1, s.token()), QueueOpStatus::kOk);  // now full
-  std::atomic<bool> returned{false};
-  std::thread producer([&] {
-    EXPECT_EQ(q.putFor(2, s.token()), QueueOpStatus::kCancelled);
-    returned = true;
-  });
-  std::this_thread::sleep_for(20ms);  // let it block
-  EXPECT_FALSE(returned.load());
-  s.requestStop();
-  producer.join();
-  EXPECT_TRUE(returned.load());
-  EXPECT_EQ(q.size(), 1u) << "cancelled put publishes nothing";
-}
-
-TEST(QueueFor, CancelWakesBlockedTake) {
-  BlockingQueue<int> q(4);
-  StopSource s;
-  std::thread consumer([&] {
-    std::optional<int> out;
-    EXPECT_EQ(q.takeFor(out, s.token()), QueueOpStatus::kCancelled);
-    EXPECT_FALSE(out.has_value());
-  });
-  std::this_thread::sleep_for(20ms);
-  s.requestStop();
-  consumer.join();
-}
-
-TEST(QueueFor, CancelledTakeSkipsBufferedElements) {
-  // Precedence: kCancelled beats element transfer. Cancellation is
-  // abandonment — a cancelled consumer must not consume.
-  BlockingQueue<int> q(4);
-  StopSource s;
-  ASSERT_EQ(q.putFor(7, s.token()), QueueOpStatus::kOk);
-  s.requestStop();
-  std::optional<int> out;
-  EXPECT_EQ(q.takeFor(out, s.token()), QueueOpStatus::kCancelled);
-  EXPECT_FALSE(out.has_value());
-  std::vector<int> batch;
-  EXPECT_EQ(q.takeUpToFor(batch, 4, s.token()), QueueOpStatus::kCancelled);
-  EXPECT_TRUE(batch.empty());
-}
-
-TEST(QueueFor, ClosedQueueStillDrains) {
-  BlockingQueue<int> q(4);
-  StopSource s;
-  ASSERT_EQ(q.putFor(7, s.token()), QueueOpStatus::kOk);
-  q.close();
-  std::optional<int> out;
-  EXPECT_EQ(q.takeFor(out, s.token()), QueueOpStatus::kOk) << "close is end-of-stream, not abandonment";
-  EXPECT_EQ(out, 7);
-  EXPECT_EQ(q.takeFor(out, s.token()), QueueOpStatus::kClosed);
-}
-
-TEST(QueueFor, PutAllForReportsAcceptedPrefixOnCancel) {
-  BlockingQueue<int> q(2);
-  StopSource s;
-  std::vector<int> batch{1, 2, 3, 4};
-  std::size_t accepted = 0;
-  std::thread canceller([&] {
-    std::this_thread::sleep_for(30ms);
-    s.requestStop();
-  });
-  const auto status = q.putAllFor(batch, accepted, s.token());
-  canceller.join();
-  EXPECT_EQ(status, QueueOpStatus::kCancelled);
-  EXPECT_EQ(accepted, 2u) << "prefix up to capacity was published";
-  EXPECT_EQ(batch.size(), 2u) << "accepted prefix erased, suffix kept";
-}
-
-TEST(QueueFor, DetachedTokenWorksWithDeadlines) {
-  BlockingQueue<int> q(1);
-  ASSERT_EQ(q.putFor(1, CancelToken{}), QueueOpStatus::kOk);
-  EXPECT_EQ(q.putFor(2, CancelToken{}, after(30ms)), QueueOpStatus::kTimedOut);
-}
-
-// ---------------------------------------------------------------------
 // ThreadPool
 // ---------------------------------------------------------------------
 
@@ -258,13 +146,13 @@ TEST(PipeCancel, CancelUnblocksProducerOnFullQueue) {
   ThreadPool pool;
   auto pipe = Pipe::create([] { return infinite(); }, /*capacity=*/2, pool);
   // Wait until the producer has filled the queue and is blocked in put.
-  while (pipe->queue()->size() < 2) std::this_thread::sleep_for(1ms);
+  while (pipe->queue().size() < 2) std::this_thread::sleep_for(1ms);
   pipe->cancel();
   // The producer must return within one queue operation: its task
   // completes and closes the queue without anyone draining it.
   pool.shutdown();
   EXPECT_EQ(pool.tasksCompleted(), 1u);
-  EXPECT_TRUE(pipe->queue()->closed());
+  EXPECT_TRUE(pipe->queue().closed());
   EXPECT_FALSE(pipe->activate().has_value()) << "cancelled pipe fails, not blocks";
   EXPECT_FALSE(pipe->activate().has_value()) << "and stays failed";
 }
@@ -285,17 +173,17 @@ TEST(PipeCancel, FourStageChainUnblocksEveryProducer) {
   p3->cancelWith(p4->cancelToken());
   // Let every stage fill: all four queues at capacity, all four
   // producers blocked in a put.
-  while (p1->queue()->size() < 2 || p2->queue()->size() < 2 || p3->queue()->size() < 2 ||
-         p4->queue()->size() < 2) {
+  while (p1->queue().size() < 2 || p2->queue().size() < 2 || p3->queue().size() < 2 ||
+         p4->queue().size() < 2) {
     std::this_thread::sleep_for(1ms);
   }
   p4->cancel();
   pool.shutdown();  // joins all workers: hangs (and times out) if any producer stayed blocked
   EXPECT_EQ(pool.tasksCompleted(), 4u);
-  EXPECT_TRUE(p1->queue()->closed());
-  EXPECT_TRUE(p2->queue()->closed());
-  EXPECT_TRUE(p3->queue()->closed());
-  EXPECT_TRUE(p4->queue()->closed());
+  EXPECT_TRUE(p1->queue().closed());
+  EXPECT_TRUE(p2->queue().closed());
+  EXPECT_TRUE(p3->queue().closed());
+  EXPECT_TRUE(p4->queue().closed());
 }
 
 TEST(PipeCancel, PipelineBuildCancellableStopsAllStages) {
@@ -313,7 +201,7 @@ TEST(PipeCancel, PipelineBuildCancellableStopsAllStages) {
 
 TEST(PipeDeadline, ActivateUntilTimesOutAndStaysReactivatable) {
   ThreadPool pool;
-  auto gate = std::make_shared<BlockingQueue<Value>>(4);
+  auto gate = std::make_shared<SpscRing<Value>>(4);
   // Producer forwards whatever the gate supplies — controllable latency.
   auto pipe = Pipe::create(
       [gate]() -> GenPtr {
@@ -429,7 +317,7 @@ TEST(FutureError, FailureIsNotAnError) {
 TEST(PipeDump, DumpAllReportsLivePipes) {
   ThreadPool pool;
   auto pipe = Pipe::create([] { return test::range(1, 4); }, 8, pool);
-  while (!pipe->queue()->closed()) std::this_thread::sleep_for(1ms);
+  while (!pipe->queue().closed()) std::this_thread::sleep_for(1ms);
   std::ostringstream os;
   Pipe::dumpAll(os);
   const std::string dump = os.str();

@@ -6,8 +6,10 @@
 #include <atomic>
 #include <chrono>
 #include <thread>
+#include <utility>
 
 #include "../testutil.hpp"
+#include "interp/interpreter.hpp"
 #include "runtime/error.hpp"
 #include "runtime/var.hpp"
 
@@ -151,8 +153,44 @@ TEST(PipeQueueExposure, PublicQueueAllowsExtraManipulation) {
   // "The output blocking queue ... is exposed as a public field to
   // permit further manipulation."
   auto pipe = Pipe::create([] { return test::range(1, 3); }, 8);
-  ASSERT_NE(pipe->queue(), nullptr);
-  EXPECT_EQ(pipe->queue()->capacity(), 8u);
+  EXPECT_EQ(pipe->queue().capacity(), 8u);
+}
+
+TEST(PipeCapacity, EveryCapacityIsBoundedIntoTheRing) {
+  // One place bounds every request into [1, kMaxCapacity]: 0 is not
+  // "unbounded", and an absurd request cannot commit a giant slot array.
+  const std::pair<std::size_t, std::size_t> cases[] = {
+      {0, 1}, {1, 1}, {1024, 1024}, {std::size_t{1} << 30, Pipe::kMaxCapacity}};
+  for (const auto& [requested, bounded] : cases) {
+    auto pipe = Pipe::create([] { return test::range(1, 3); }, requested);
+    EXPECT_EQ(pipe->queue().capacity(), bounded) << "requested " << requested;
+    EXPECT_EQ(pipe->activate()->smallInt(), 1);
+  }
+  EXPECT_EQ(Pipe::kMaxCapacity, std::size_t{1} << 20);
+}
+
+/// The ring capacity of the pipe `|> (1 to 3)` builds in `interp`.
+std::size_t interpretedPipeCapacity(interp::Interpreter& interp) {
+  auto v = interp.evalOne("|> (1 to 3)");
+  EXPECT_TRUE(v && v->isCoExpr());
+  if (!v || !v->isCoExpr()) return 0;
+  auto* pipe = dynamic_cast<Pipe*>(v->coExpr().get());
+  EXPECT_NE(pipe, nullptr);
+  return pipe != nullptr ? pipe->queue().capacity() : 0;
+}
+
+TEST(PipeCapacity, InterpreterPipesAreAlwaysBounded) {
+  interp::Interpreter zero(interp::Interpreter::Options{.pipeCapacity = 0});
+  EXPECT_EQ(interpretedPipeCapacity(zero), 1u) << "pipeCapacity 0 is a 1-slot ring";
+
+  interp::Interpreter::Options governed;
+  governed.quotas.maxPipeDepth = 8;
+  interp::Interpreter session(governed);
+  EXPECT_EQ(interpretedPipeCapacity(session), 8u) << "the pipe-depth budget clamps 1024";
+
+  governed.pipeCapacity = 0;
+  interp::Interpreter governedZero(governed);
+  EXPECT_EQ(interpretedPipeCapacity(governedZero), 1u) << "0 under a budget is still bounded";
 }
 
 TEST(FutureTest, SingletonPipeIsAFuture) {

@@ -5,9 +5,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <latch>
 #include <thread>
 
-#include "concur/blocking_queue.hpp"
+#include "concur/spsc_ring.hpp"
 
 namespace congen {
 namespace {
@@ -43,14 +44,14 @@ TEST(PoolBasics, WorkersAreReused) {
 TEST(PoolGrowth, GrowsWhenAllWorkersBlocked) {
   // This is the property that makes nested pipelines deadlock-free: a
   // task blocked on a queue must not starve later submissions.
+  std::latch gate(1);  // declared first: outlives the workers waiting on it
   ThreadPool pool;
-  BlockingQueue<int> gate(1);
   constexpr int kBlocked = 6;
   std::atomic<int> started{0};
   for (int i = 0; i < kBlocked; ++i) {
     pool.submit([&] {
       ++started;
-      gate.take();  // blocks until the gate is closed
+      gate.wait();  // blocks until the gate opens
     });
   }
   waitFor([&] { return started.load() == kBlocked; });
@@ -61,7 +62,7 @@ TEST(PoolGrowth, GrowsWhenAllWorkersBlocked) {
   pool.submit([&] { extraRan = true; });
   waitFor([&] { return extraRan.load(); });
   EXPECT_TRUE(extraRan.load()) << "new work proceeds while others block";
-  gate.close();
+  gate.count_down();
 }
 
 TEST(PoolShutdown, SubmitAfterDestructionScopeIsSafe) {
@@ -73,13 +74,13 @@ TEST(PoolShutdown, SubmitAfterDestructionScopeIsSafe) {
 }
 
 TEST(PoolShutdown, ThreadCapIsEnforced) {
+  std::latch gate(1);
   ThreadPool pool(/*maxThreads=*/2);
-  BlockingQueue<int> gate(1);
-  pool.submit([&] { gate.take(); });
-  pool.submit([&] { gate.take(); });
+  pool.submit([&] { gate.wait(); });
+  pool.submit([&] { gate.wait(); });
   waitFor([&] { return pool.idleThreads() == 0; });
   EXPECT_THROW(pool.submit([] {}), std::runtime_error);
-  gate.close();
+  gate.count_down();
 }
 
 TEST(PoolShutdown, ExplicitShutdownIsIdempotent) {
@@ -96,8 +97,8 @@ TEST(PoolShutdown, ExplicitShutdownIsIdempotent) {
 TEST(PoolShutdown, CapRejectionDoesNotEnqueueTheTask) {
   // Regression: submit() used to push the task *before* the cap check,
   // so a "rejected" task was still queued and ran later anyway.
+  SpscRing<int> gate(1);
   ThreadPool pool(/*maxThreads=*/1);
-  BlockingQueue<int> gate(1);
   pool.submit([&] { gate.take(); });  // occupies the only worker
   waitFor([&] { return pool.idleThreads() == 0; });
   std::atomic<bool> phantomRan{false};
@@ -143,20 +144,20 @@ TEST(PoolStats, ThreadsCreatedSurvivesShutdown) {
 }
 
 TEST(PoolStats, BurstGrowthMatchesBlockedWorkers) {
+  std::latch gate(1);
   ThreadPool pool;
-  BlockingQueue<int> gate(1);
   constexpr int kBlocked = 4;
   std::atomic<int> started{0};
   for (int i = 0; i < kBlocked; ++i) {
     pool.submit([&] {
       ++started;
-      gate.take();
+      gate.wait();
     });
   }
   waitFor([&] { return started.load() == kBlocked; });
   EXPECT_EQ(pool.threadsCreated(), static_cast<std::size_t>(kBlocked))
       << "every burst submit outran the blocked/parked workers, so each grew the pool";
-  gate.close();
+  gate.count_down();
 }
 
 TEST(PoolGlobal, SingletonIsStable) {

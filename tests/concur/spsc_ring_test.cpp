@@ -2,19 +2,21 @@
 //
 // Single-threaded tests exercise the index arithmetic (wrap-around,
 // exact capacity, close/drain ordering); two-thread tests pin down the
-// blocking contract the ring shares with BlockingQueue — QueueOpStatus
-// precedence, timed expiry, and the register-then-recheck cancel path.
+// blocking contract every pipe relies on — QueueOpStatus precedence,
+// timed expiry, and the register-then-recheck cancel path.
 #include "concur/spsc_ring.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "concur/cancel.hpp"
-#include "concur/channel.hpp"
 
 namespace congen {
 namespace {
@@ -268,48 +270,405 @@ TEST(SpscRingHandoff, BulkHandoffAcrossThreads) {
   EXPECT_EQ(expect, kItems);
 }
 
-TEST(SpscRingChannel, AutoSelectsRingForBoundedCapacity) {
-  Channel<int> bounded(8);
-  EXPECT_TRUE(bounded.lockFree());
-  EXPECT_EQ(bounded.capacity(), 8u);
-  Channel<int> future(1);
-  EXPECT_TRUE(future.lockFree()) << "futures are capacity-1 pipes";
+// ---------------------------------------------------------------------
+// The pipe channel's blocking contract (Section III.B: "a blocking
+// channel, or blocking queue, has put and take operations that wait
+// until the queue of results is not full or not empty").
+// ---------------------------------------------------------------------
+
+TEST(QueueBasics, FifoOrder) {
+  SpscRing<int> q(4);
+  q.put(1);
+  q.put(2);
+  q.put(3);
+  EXPECT_EQ(q.size(), 3u);
+  EXPECT_EQ(q.take(), 1);
+  EXPECT_EQ(q.take(), 2);
+  EXPECT_EQ(q.take(), 3);
 }
 
-TEST(SpscRingChannel, AutoFallsBackToMutexQueue) {
-  Channel<int> unbounded(0);
-  EXPECT_FALSE(unbounded.lockFree()) << "a ring cannot be unbounded";
-  Channel<int> huge(Channel<int>::kMaxSpscCapacity + 1);
-  EXPECT_FALSE(huge.lockFree()) << "absurd capacities skip the pre-sized slot array";
+TEST(QueueBasics, TryOperations) {
+  SpscRing<int> q(2);
+  EXPECT_FALSE(q.tryTake().has_value()) << "empty tryTake fails without blocking";
+  EXPECT_TRUE(q.tryPut(1));
+  EXPECT_TRUE(q.tryPut(2));
+  EXPECT_FALSE(q.tryPut(3)) << "full tryPut fails without blocking";
+  EXPECT_EQ(q.tryTake(), 1);
+  EXPECT_TRUE(q.tryPut(3));
 }
 
-TEST(SpscRingChannel, ExplicitTransportWins) {
-  Channel<int> forcedMutex(8, ChannelTransport::kMutex);
-  EXPECT_FALSE(forcedMutex.lockFree());
-  Channel<int> forcedRing(16, ChannelTransport::kSpsc);
-  EXPECT_TRUE(forcedRing.lockFree());
+TEST(QueueBasics, TryPutAfterCloseFails) {
+  SpscRing<int> q(4);
+  EXPECT_TRUE(q.tryPut(1));
+  q.close();
+  EXPECT_FALSE(q.tryPut(2)) << "closed tryPut is refused even with room";
+  EXPECT_EQ(q.size(), 1u) << "the refused element was not half-enqueued";
 }
 
-TEST(SpscRingChannel, ForwardsTheFullContract) {
-  // One pass over every forwarded operation on the ring arm.
-  Channel<int> ch(4);
-  EXPECT_TRUE(ch.put(1));
-  EXPECT_TRUE(ch.tryPut(2));
-  std::vector<int> batch{3, 4};
-  EXPECT_EQ(ch.putAll(batch), 2u);
-  EXPECT_EQ(ch.size(), 4u);
-  EXPECT_EQ(ch.waitingConsumers(), 0u);
-  EXPECT_EQ(ch.take(), 1);
-  EXPECT_EQ(ch.tryTake(), 2);
-  EXPECT_EQ(ch.takeUpTo(4), (std::vector<int>{3, 4}));
+TEST(QueueBasics, TryTakeDrainsAfterClose) {
+  SpscRing<int> q(4);
+  q.put(1);
+  q.put(2);
+  q.close();
+  EXPECT_EQ(q.tryTake(), 1) << "buffered elements survive close via the try-API too";
+  EXPECT_EQ(q.tryTake(), 2);
+  EXPECT_FALSE(q.tryTake().has_value());
+  EXPECT_FALSE(q.tryTake().has_value()) << "drained + closed stays failed";
+}
+
+TEST(QueueBasics, TryOpsOnMailbox) {
+  // Capacity 1: tryPut toggles between accepted and refused as the slot
+  // fills and empties — the non-blocking view of the M-var.
+  SpscRing<int> mailbox(1);
+  EXPECT_TRUE(mailbox.tryPut(1));
+  EXPECT_FALSE(mailbox.tryPut(2)) << "occupied mailbox refuses";
+  EXPECT_EQ(mailbox.tryTake(), 1);
+  EXPECT_FALSE(mailbox.tryTake().has_value());
+  EXPECT_TRUE(mailbox.tryPut(3)) << "slot reusable after tryTake";
+  EXPECT_EQ(mailbox.take(), 3);
+}
+
+TEST(QueueBasics, TryPutReleasesBlockedTaker) {
+  // A tryPut must wake a blocked take() just like put() does.
+  SpscRing<int> q(1);
+  std::atomic<bool> got{false};
+  std::thread consumer([&] {
+    EXPECT_EQ(q.take(), 7);
+    got = true;
+  });
+  std::this_thread::sleep_for(10ms);
+  EXPECT_TRUE(q.tryPut(7));
+  consumer.join();
+  EXPECT_TRUE(got.load());
+}
+
+TEST(QueueBasics, TryTakeReleasesBlockedPutter) {
+  // Symmetric: a tryTake on a full ring must wake a blocked put().
+  SpscRing<int> q(1);
+  ASSERT_TRUE(q.put(1));
+  std::atomic<bool> done{false};
+  std::thread producer([&] {
+    EXPECT_TRUE(q.put(2));
+    done = true;
+  });
+  std::this_thread::sleep_for(10ms);
+  EXPECT_EQ(q.tryTake(), 1);
+  producer.join();
+  EXPECT_TRUE(done.load());
+  EXPECT_EQ(q.take(), 2);
+}
+
+TEST(QueueBulk, PutAllDeliversInOrderAndConsumesTheBatch) {
+  SpscRing<int> q(4);
+  std::vector<int> batch{1, 2, 3, 4};
+  EXPECT_EQ(q.putAll(batch), 4u);
+  EXPECT_TRUE(batch.empty()) << "accepted elements are erased from the batch";
+  for (int i = 1; i <= 4; ++i) EXPECT_EQ(q.take(), i);
+}
+
+TEST(QueueBulk, PutAllEmptyBatchIsANoOp) {
+  SpscRing<int> q(1);
+  std::vector<int> batch;
+  EXPECT_EQ(q.putAll(batch), 0u);
+  EXPECT_EQ(q.size(), 0u);
+}
+
+TEST(QueueBulk, PutAllAfterCloseAcceptsNothingAndKeepsTheBatch) {
+  SpscRing<int> q(4);
+  q.close();
+  std::vector<int> batch{1, 2, 3};
+  EXPECT_EQ(q.putAll(batch), 0u);
+  EXPECT_EQ(batch, (std::vector<int>{1, 2, 3})) << "the refused batch is left intact";
+}
+
+TEST(QueueBulk, PutAllBlockedAtCapacityAcceptsPrefixOnClose) {
+  // A putAll that outgrows the bound parks; close mid-batch must release
+  // it with the accepted prefix erased and the unaccepted suffix still
+  // in the caller's hands.
+  SpscRing<int> q(2);
+  std::vector<int> batch{1, 2, 3, 4, 5};
+  std::atomic<std::size_t> accepted{99};
+  std::thread producer([&] { accepted = q.putAll(batch); });
+  std::this_thread::sleep_for(20ms);
+  EXPECT_EQ(q.size(), 2u) << "the prefix filled the ring to its bound";
+  q.close();
+  producer.join();
+  EXPECT_EQ(accepted.load(), 2u);
+  EXPECT_EQ(batch, (std::vector<int>{3, 4, 5})) << "unaccepted suffix survives the close";
+  EXPECT_EQ(q.take(), 1);
+  EXPECT_EQ(q.take(), 2);
+  EXPECT_FALSE(q.take().has_value());
+}
+
+TEST(QueueBulk, TakeUpToTakesAtMostMaxInFifoOrder) {
+  SpscRing<int> q(8);
+  for (int i = 1; i <= 5; ++i) q.put(i);
+  EXPECT_EQ(q.takeUpTo(3), (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(q.takeUpTo(10), (std::vector<int>{4, 5})) << "takeUpTo never blocks for more";
+}
+
+TEST(QueueBulk, TakeUpToZeroReturnsEmptyWithoutBlocking) {
+  SpscRing<int> q(4);
+  EXPECT_TRUE(q.takeUpTo(0).empty());
+  q.put(1);
+  EXPECT_TRUE(q.takeUpTo(0).empty());
+  EXPECT_EQ(q.size(), 1u);
+}
+
+TEST(QueueBulk, TakeUpToBlocksUntilTheFirstElement) {
+  SpscRing<int> q(4);
+  std::thread producer([&] {
+    std::this_thread::sleep_for(10ms);
+    q.put(42);
+  });
+  EXPECT_EQ(q.takeUpTo(8), (std::vector<int>{42})) << "blocks like take(), returns what is there";
+  producer.join();
+}
+
+TEST(QueueBulk, TakeUpToEmptyMeansClosedAndDrained) {
+  SpscRing<int> q(4);
+  q.put(1);
+  q.close();
+  EXPECT_EQ(q.takeUpTo(8), (std::vector<int>{1})) << "buffered elements survive close";
+  EXPECT_TRUE(q.takeUpTo(8).empty()) << "empty result is the bulk poison pill";
+}
+
+TEST(QueueBulk, WaitingConsumersCountsBlockedTakers) {
+  SpscRing<int> q(4);
+  EXPECT_EQ(q.waitingConsumers(), 0u);
+  std::thread consumer([&] { EXPECT_EQ(q.take(), 5); });
+  while (q.waitingConsumers() == 0) std::this_thread::yield();
+  EXPECT_EQ(q.waitingConsumers(), 1u);
+  q.put(5);
+  consumer.join();
+  EXPECT_EQ(q.waitingConsumers(), 0u);
+}
+
+TEST(QueueClose, TakeDrainsThenFails) {
+  SpscRing<int> q(4);
+  q.put(1);
+  q.put(2);
+  q.close();
+  EXPECT_EQ(q.take(), 1) << "buffered elements survive close";
+  EXPECT_EQ(q.take(), 2);
+  EXPECT_FALSE(q.take().has_value()) << "drained + closed = failure";
+  EXPECT_FALSE(q.put(9)) << "put after close is refused";
+}
+
+TEST(QueueClose, ReleasesBlockedConsumer) {
+  SpscRing<int> q(4);
+  std::atomic<bool> released{false};
+  std::thread consumer([&] {
+    EXPECT_FALSE(q.take().has_value());
+    released = true;
+  });
+  std::this_thread::sleep_for(20ms);
+  EXPECT_FALSE(released.load());
+  q.close();
+  consumer.join();
+  EXPECT_TRUE(released.load());
+}
+
+TEST(QueueClose, ReleasesBlockedProducer) {
+  SpscRing<int> q(1);
+  q.put(0);  // now full
+  std::atomic<bool> released{false};
+  std::thread producer([&] {
+    EXPECT_FALSE(q.put(1)) << "blocked put returns false on close";
+    released = true;
+  });
+  std::this_thread::sleep_for(20ms);
+  EXPECT_FALSE(released.load());
+  q.close();
+  producer.join();
+  EXPECT_TRUE(released.load());
+}
+
+TEST(QueueCapacity, BoundThrottlesProducer) {
+  SpscRing<int> q(4);
+  std::atomic<int> produced{0};
+  std::thread producer([&] {
+    for (int i = 0; i < 100; ++i) {
+      if (!q.put(i)) return;
+      produced = i + 1;
+    }
+  });
+  std::this_thread::sleep_for(30ms);
+  EXPECT_LE(produced.load(), 5) << "producer cannot run ahead of the bound";
+  for (int i = 0; i < 100; ++i) EXPECT_EQ(q.take(), i);
+  producer.join();
+}
+
+/// (producers, capacity). A ring has one producer, so fan-in is one ring
+/// per producer, drained round-robin by the single consumer — the shape
+/// several pipes feeding one activation site take.
+class QueueConcurrencyProperty : public ::testing::TestWithParam<std::pair<int, int>> {};
+
+TEST_P(QueueConcurrencyProperty, AllElementsDeliveredExactlyOnce) {
+  const auto [producers, capacity] = GetParam();
+  constexpr int kPerProducer = 500;
+  std::vector<std::unique_ptr<SpscRing<int>>> rings;
+  for (int p = 0; p < producers; ++p) {
+    rings.push_back(std::make_unique<SpscRing<int>>(static_cast<std::size_t>(capacity)));
+  }
+
+  std::vector<std::thread> threads;
+  threads.reserve(static_cast<std::size_t>(producers));
+  for (int p = 0; p < producers; ++p) {
+    threads.emplace_back([ring = rings[static_cast<std::size_t>(p)].get(), p] {
+      for (int i = 0; i < kPerProducer; ++i) ring->put(p * kPerProducer + i);
+      ring->close();
+    });
+  }
+  std::vector<int> got;
+  std::thread consumer([&] {
+    std::vector<bool> open(rings.size(), true);
+    for (std::size_t live = rings.size(); live > 0;) {
+      for (std::size_t r = 0; r < rings.size(); ++r) {
+        if (!open[r]) continue;
+        const auto chunk = rings[r]->takeUpTo(16);
+        if (chunk.empty()) {
+          open[r] = false;
+          --live;
+        }
+        got.insert(got.end(), chunk.begin(), chunk.end());
+      }
+    }
+  });
+  for (auto& t : threads) t.join();
+  consumer.join();
+
+  ASSERT_EQ(got.size(), static_cast<std::size_t>(producers * kPerProducer));
+  std::sort(got.begin(), got.end());
+  for (int i = 0; i < producers * kPerProducer; ++i) {
+    ASSERT_EQ(got[static_cast<std::size_t>(i)], i) << "element lost or duplicated";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Shapes, QueueConcurrencyProperty,
+                         ::testing::Values(std::make_pair(1, 1), std::make_pair(1, 16),
+                                           std::make_pair(4, 1), std::make_pair(4, 64),
+                                           std::make_pair(8, 8)));
+
+TEST(QueueSingleSlot, ActsAsMailbox) {
+  // Capacity 1 = the future / M-var of Section III.B.
+  SpscRing<int> mailbox(1);
+  std::thread producer([&] {
+    std::this_thread::sleep_for(10ms);
+    mailbox.put(42);
+  });
+  EXPECT_EQ(mailbox.take(), 42) << "take blocks until defined";
+  producer.join();
+}
+
+// ---------------------------------------------------------------------
+// Cancellable / deadline-bounded ops (the *For family)
+// ---------------------------------------------------------------------
+
+TEST(QueueFor, FastPathsMatchPlainOperations) {
+  SpscRing<int> q(4);
+  StopSource s;
+  const auto t = s.token();
+  EXPECT_EQ(q.putFor(1, t), QueueOpStatus::kOk);
   std::optional<int> out;
-  EXPECT_EQ(ch.putFor(5, CancelToken{}, {}), QueueOpStatus::kOk);
-  EXPECT_EQ(ch.takeFor(out, CancelToken{}, {}), QueueOpStatus::kOk);
-  EXPECT_EQ(out, 5);
-  ch.close();
-  EXPECT_TRUE(ch.closed());
-  std::vector<int> rest;
-  EXPECT_EQ(ch.takeUpToFor(rest, 4, CancelToken{}, {}), QueueOpStatus::kClosed);
+  EXPECT_EQ(q.takeFor(out, t), QueueOpStatus::kOk);
+  EXPECT_EQ(out, 1);
+  q.close();
+  EXPECT_EQ(q.putFor(2, t), QueueOpStatus::kClosed);
+  EXPECT_EQ(q.takeFor(out, t), QueueOpStatus::kClosed);
+  EXPECT_FALSE(out.has_value());
+}
+
+TEST(QueueFor, DeadlineExpiryReturnsTimedOut) {
+  SpscRing<int> q(1);
+  StopSource s;
+  EXPECT_EQ(q.putFor(1, s.token()), QueueOpStatus::kOk);
+  EXPECT_EQ(q.putFor(2, s.token(), after(30ms)), QueueOpStatus::kTimedOut) << "ring full";
+  std::optional<int> out;
+  EXPECT_EQ(q.takeFor(out, s.token()), QueueOpStatus::kOk);
+  EXPECT_EQ(q.takeFor(out, s.token(), after(30ms)), QueueOpStatus::kTimedOut) << "ring empty";
+  std::vector<int> batch;
+  EXPECT_EQ(q.takeUpToFor(batch, 8, s.token(), after(30ms)), QueueOpStatus::kTimedOut);
+}
+
+TEST(QueueFor, CancelWakesBlockedPutWithinOneOperation) {
+  SpscRing<int> q(1);
+  StopSource s;
+  ASSERT_EQ(q.putFor(1, s.token()), QueueOpStatus::kOk);  // now full
+  std::atomic<bool> returned{false};
+  std::thread producer([&] {
+    EXPECT_EQ(q.putFor(2, s.token()), QueueOpStatus::kCancelled);
+    returned = true;
+  });
+  std::this_thread::sleep_for(20ms);  // let it block
+  EXPECT_FALSE(returned.load());
+  s.requestStop();
+  producer.join();
+  EXPECT_TRUE(returned.load());
+  EXPECT_EQ(q.size(), 1u) << "cancelled put publishes nothing";
+}
+
+TEST(QueueFor, CancelWakesBlockedTake) {
+  SpscRing<int> q(4);
+  StopSource s;
+  std::thread consumer([&] {
+    std::optional<int> out;
+    EXPECT_EQ(q.takeFor(out, s.token()), QueueOpStatus::kCancelled);
+    EXPECT_FALSE(out.has_value());
+  });
+  std::this_thread::sleep_for(20ms);
+  s.requestStop();
+  consumer.join();
+}
+
+TEST(QueueFor, CancelledTakeSkipsBufferedElements) {
+  // Precedence: kCancelled beats element transfer. Cancellation is
+  // abandonment — a cancelled consumer must not consume.
+  SpscRing<int> q(4);
+  StopSource s;
+  ASSERT_EQ(q.putFor(7, s.token()), QueueOpStatus::kOk);
+  s.requestStop();
+  std::optional<int> out;
+  EXPECT_EQ(q.takeFor(out, s.token()), QueueOpStatus::kCancelled);
+  EXPECT_FALSE(out.has_value());
+  std::vector<int> batch;
+  EXPECT_EQ(q.takeUpToFor(batch, 4, s.token()), QueueOpStatus::kCancelled);
+  EXPECT_TRUE(batch.empty());
+  EXPECT_EQ(q.size(), 1u) << "the buffered element stays for a plain drain";
+}
+
+TEST(QueueFor, ClosedQueueStillDrains) {
+  SpscRing<int> q(4);
+  StopSource s;
+  ASSERT_EQ(q.putFor(7, s.token()), QueueOpStatus::kOk);
+  q.close();
+  std::optional<int> out;
+  EXPECT_EQ(q.takeFor(out, s.token()), QueueOpStatus::kOk)
+      << "close is end-of-stream, not abandonment";
+  EXPECT_EQ(out, 7);
+  EXPECT_EQ(q.takeFor(out, s.token()), QueueOpStatus::kClosed);
+}
+
+TEST(QueueFor, PutAllForReportsAcceptedPrefixOnCancel) {
+  SpscRing<int> q(2);
+  StopSource s;
+  std::vector<int> batch{1, 2, 3, 4};
+  std::size_t accepted = 0;
+  std::thread canceller([&] {
+    std::this_thread::sleep_for(30ms);
+    s.requestStop();
+  });
+  const auto status = q.putAllFor(batch, accepted, s.token());
+  canceller.join();
+  EXPECT_EQ(status, QueueOpStatus::kCancelled);
+  EXPECT_EQ(accepted, 2u) << "prefix up to capacity was published";
+  EXPECT_EQ(batch, (std::vector<int>{3, 4})) << "accepted prefix erased, suffix kept";
+}
+
+TEST(QueueFor, DetachedTokenWorksWithDeadlines) {
+  SpscRing<int> q(1);
+  ASSERT_EQ(q.putFor(1, CancelToken{}), QueueOpStatus::kOk);
+  EXPECT_EQ(q.putFor(2, CancelToken{}, after(30ms)), QueueOpStatus::kTimedOut);
 }
 
 }  // namespace

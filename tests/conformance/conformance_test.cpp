@@ -211,7 +211,9 @@ TEST(ConformanceEmbedded, LogstatsStreamsAgree) {
       auto viaInterp = interp.call("worstLatency", {Value::string(svc)})->nextValue();
       auto viaEmitted = mod.call("worstLatency", {Value::string(svc)})->nextValue();
       ASSERT_EQ(viaInterp.has_value(), viaEmitted.has_value()) << svc;
-      if (viaInterp) EXPECT_EQ(viaInterp->toDisplayString(), viaEmitted->toDisplayString()) << svc;
+      if (viaInterp) {
+        EXPECT_EQ(viaInterp->toDisplayString(), viaEmitted->toDisplayString()) << svc;
+      }
     }
   }
 }

@@ -3,8 +3,8 @@
 //
 // Anything the parser accepts must compile and execute without crashing:
 // run-time faults must surface as IconError (including 810, the
-// evaluation-fuel trip that bounds runaway programs — vmStepLimit is now
-// an alias for the governor's unified fuel budget), syntax faults as
+// evaluation-fuel trip of the governor's unified fuel budget that bounds
+// runaway programs), syntax faults as
 // SyntaxError, and absurd literals as the BigInt constructor's
 // std::invalid_argument/out_of_range. Output is swallowed — generated
 // programs love write() — and the result drain is capped so a prolific
@@ -46,7 +46,7 @@ void compileAndRun(const std::string& source) {
   try {
     interp::Interpreter::Options opts;
     opts.backend = interp::Backend::kVm;
-    opts.vmStepLimit = 200000;  // fuel alias: IconError 810 bounds runaway chunks
+    opts.quotas.maxFuel = 200000;  // IconError 810 bounds runaway chunks
     interp::Interpreter interp{opts};
     interp.load(source);  // compiles every body; runs top-level stmts
     auto gen = interp.call("main", {Value::list(ListImpl::create())});

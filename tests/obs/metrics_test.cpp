@@ -11,7 +11,7 @@
 #include <thread>
 #include <vector>
 
-#include "concur/blocking_queue.hpp"
+#include "concur/spsc_ring.hpp"
 #include "interp/interpreter.hpp"
 #include "kernel/arena.hpp"
 #include "obs/metrics.hpp"
@@ -214,7 +214,7 @@ TEST(MetricsRuntime, QueueOperationsConserveElements) {
   const auto depth0 = s.depth.value();
 
   {
-    BlockingQueue<int> q(8);
+    SpscRing<int> q(8);
     q.put(1);
     q.put(2);
     (void)q.tryPut(3);
@@ -244,7 +244,7 @@ TEST(MetricsRuntime, BatchSizeHistogramSumMatchesBulkElements) {
   const auto sum0 = s.putBatchSize.sum();
   const auto bulk0 = s.putBatchElements.value();
 
-  BlockingQueue<int> q(16);
+  SpscRing<int> q(16);
   std::vector<int> a{1, 2, 3};
   std::vector<int> b{4, 5};
   q.putAll(a);

@@ -7,7 +7,7 @@
 //  - the process-level Admission gate and the Supervisor watchdog;
 //  - end-to-end enforcement through the Interpreter: both backends must
 //    raise the identical 81x error for the same exhausted budget (fuel
-//    parity is the headline — vmStepLimit used to be VM-only), and the
+//    parity is the headline — the fuel budget used to be VM-only), and the
 //    fault-injection allocation sites must surface as the same clean,
 //    catchable 305 a real bad_alloc produces.
 #include <gtest/gtest.h>
@@ -174,13 +174,13 @@ TEST(GovernorCore, PipeAndCoexprBudgetsTripAt812) {
 
 TEST(GovernorCore, ClampPipeCapacityDegradesGracefully) {
   auto unlimited = ResourceGovernor::create(Limits{});
-  EXPECT_EQ(unlimited->clampPipeCapacity(0), 0u) << "0 stays unbounded without a budget";
+  EXPECT_EQ(unlimited->clampPipeCapacity(0), 0u) << "no budget: requests pass through";
   EXPECT_EQ(unlimited->clampPipeCapacity(7), 7u);
 
   Limits limits;
   limits.maxPipeDepth = 8;
   auto gov = ResourceGovernor::create(limits);
-  EXPECT_EQ(gov->clampPipeCapacity(0), 8u) << "an unbounded request clamps to the budget";
+  EXPECT_EQ(gov->clampPipeCapacity(0), 0u) << "0 is not unbounded; Pipe raises it to 1";
   EXPECT_EQ(gov->clampPipeCapacity(100), 8u);
   EXPECT_EQ(gov->clampPipeCapacity(4), 4u) << "requests under the budget pass through";
 }
@@ -326,15 +326,6 @@ TEST(GovernorInterpreter, FuelParityBothBackendsRaise810) {
   // SAME typed error the VM does, at the same budget.
   EXPECT_EQ(runawayErrorNumber(interp::Backend::kTree, quotas), 810);
   EXPECT_EQ(runawayErrorNumber(interp::Backend::kVm, quotas), 810);
-}
-
-TEST(GovernorInterpreter, VmStepLimitIsAFuelAlias) {
-  interp::Interpreter::Options opts;
-  opts.backend = interp::Backend::kVm;
-  opts.vmStepLimit = 50000;  // legacy spelling, same budget
-  interp::Interpreter interp{opts};
-  interp.load("def spin() { while 1 do 0; }");
-  EXPECT_EQ(iconErrorNumber([&] { interp.evalAll("spin()"); }), 810);
 }
 
 TEST(GovernorInterpreter, FuelTripIsCatchableViaErrorConversion) {

@@ -326,6 +326,34 @@ TEST(ServeDisconnect, MidStreamHangupCancelsPipeProducer) {
   server.stop();
 }
 
+TEST(ServeBounded, PipeRunAheadStopsAtTheRingCapacity) {
+  // One session's pipe may run ahead of its consumer only as far as its
+  // ring: at the default capacity (1024) the producer parks there,
+  // instead of buffering the whole stream.
+  Server server(baseConfig());
+  server.start();
+  auto& queue = obs::QueueStats::get();
+  const auto depth0 = queue.depth.value();
+  const auto rings0 = obs::RingStats::get().created.value();
+  const auto pipes0 = obs::PipeStats::get().created.value();
+  TestClient client(server.port());
+  client.send({Verb::kSubmit, "! |> (1 to 200000)", 0});
+  client.expectHello();
+  EXPECT_EQ(client.readLine(), "{\"ok\":true,\"kind\":\"generator\"}");
+  const std::string r = client.roundTrip({Verb::kNext, "", 1});
+  EXPECT_NE(r.find("\"results\":[\"1\"]"), std::string::npos) << r;
+  const auto depth = [&] { return queue.depth.value() - depth0; };
+  EXPECT_TRUE(eventually([&] { return depth() >= 1024; })) << "depth " << depth();
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_LE(depth(), 1024) << "the producer ran past its ring";
+  EXPECT_EQ(obs::RingStats::get().created.value() - rings0,
+            obs::PipeStats::get().created.value() - pipes0)
+      << "every pipe runs on exactly one ring";
+  EXPECT_EQ(client.roundTrip({Verb::kClose, "", 0}), "{\"ok\":true,\"kind\":\"bye\"}");
+  EXPECT_TRUE(eventually([&] { return server.liveSessions() == 0; }));
+  server.stop();
+}
+
 TEST(ServeShutdown, StopDrainsLiveSessionsAndRestartWorks) {
   Server::Config config = baseConfig();
   Server server(config);

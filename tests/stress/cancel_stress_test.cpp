@@ -14,7 +14,7 @@
 
 #include "../testutil.hpp"
 #include "builtins/builtins.hpp"
-#include "concur/blocking_queue.hpp"
+#include "concur/spsc_ring.hpp"
 #include "concur/fault_injection.hpp"
 #include "concur/pipe.hpp"
 #include "par/data_parallel.hpp"
@@ -49,7 +49,7 @@ TEST(CancelStress, CancelRacesBlockedPut) {
   const bool hooks = FaultInjector::compiledIn();
   if (hooks) armDelays();
   for (int i = 0; i < rounds; ++i) {
-    BlockingQueue<int> q(1);
+    SpscRing<int> q(1);
     StopSource s;
     ASSERT_EQ(q.putFor(0, s.token()), QueueOpStatus::kOk);  // full
     std::atomic<int> done{0};
@@ -73,7 +73,7 @@ TEST(CancelStress, CancelRacesTakeUpTo) {
   const bool hooks = FaultInjector::compiledIn();
   if (hooks) armDelays();
   for (int i = 0; i < rounds; ++i) {
-    BlockingQueue<int> q(8);
+    SpscRing<int> q(8);
     StopSource s;
     // Half the rounds leave elements buffered: a cancelled consumer
     // must abandon them (kCancelled beats element transfer).
@@ -159,13 +159,13 @@ TEST(CancelStress, FourStageChainCancelUnderJitter) {
     if (r % 3 == 1) {
       for (int k = 0; k < 5; ++k) p4->activate();
     } else if (r % 3 == 2) {
-      ASSERT_TRUE(eventually([&] { return p4->queue()->size() >= 2; }));
+      ASSERT_TRUE(eventually([&] { return p4->queue().size() >= 2; }));
     }
     p4->cancel();
     pool.shutdown();  // hangs the test (TIMEOUT 300) if any producer stays blocked
     EXPECT_EQ(pool.tasksCompleted(), 4u) << "round " << r;
-    EXPECT_TRUE(p1->queue()->closed());
-    EXPECT_TRUE(p4->queue()->closed());
+    EXPECT_TRUE(p1->queue().closed());
+    EXPECT_TRUE(p4->queue().closed());
   }
   if (hooks) FaultInjector::instance().disarm();
 }
@@ -173,7 +173,7 @@ TEST(CancelStress, FourStageChainCancelUnderJitter) {
 TEST(CancelStress, NewFaultSitesAreHit) {
   REQUIRE_FAULT_HOOKS();
   ScopedFaultInjection arm(stress::seed(), SitePolicy{});  // observe only
-  BlockingQueue<int> q(2);
+  SpscRing<int> q(2);
   StopSource s;
   std::thread producer([&] {
     for (int i = 0; i < 8; ++i) {

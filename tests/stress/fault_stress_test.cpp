@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "../testutil.hpp"
-#include "concur/blocking_queue.hpp"
+#include "concur/spsc_ring.hpp"
 #include "concur/pipe.hpp"
 #include "concur/thread_pool.hpp"
 #include "stress_util.hpp"
@@ -37,7 +37,7 @@ TEST(FaultInjectorStress, DeterministicDecisionStream) {
   auto run = [](std::uint64_t seed) {
     ScopedFaultInjection arm(seed, SitePolicy{/*delayPerMille=*/200, /*maxDelayMicros=*/1,
                                               /*failPerMille=*/100});
-    BlockingQueue<int> q(0);
+    SpscRing<int> q(2000);  // room for every put: only the injector decides
     std::vector<int> failedAt;
     for (int i = 0; i < 2000; ++i) {
       try {
@@ -91,25 +91,16 @@ TEST(FaultStress, QueueConservationUnderDelays) {
   ScopedFaultInjection arm(stress::seed(),
                            SitePolicy{/*delayPerMille=*/150, /*maxDelayMicros=*/200,
                                       /*failPerMille=*/0});
-  BlockingQueue<int> q(4);
-  constexpr int kProducers = 3;
-  const int perProducer = 150 * stress::scale();
+  SpscRing<int> q(4);
+  const int elems = 450 * stress::scale();
   std::atomic<int> taken{0};
-  std::vector<std::thread> threads;
-  for (int p = 0; p < kProducers; ++p) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < perProducer; ++i) EXPECT_TRUE(q.put(i));
-    });
-  }
-  for (int c = 0; c < 2; ++c) {
-    threads.emplace_back([&] {
-      while (q.take()) taken.fetch_add(1, std::memory_order_relaxed);
-    });
-  }
-  for (int p = 0; p < kProducers; ++p) threads[static_cast<std::size_t>(p)].join();
+  std::thread consumer([&] {
+    while (q.take()) taken.fetch_add(1, std::memory_order_relaxed);
+  });
+  for (int i = 0; i < elems; ++i) EXPECT_TRUE(q.put(i));
   q.close();
-  for (std::size_t t = kProducers; t < threads.size(); ++t) threads[t].join();
-  EXPECT_EQ(taken.load(), kProducers * perProducer);
+  consumer.join();
+  EXPECT_EQ(taken.load(), elems);
 }
 
 TEST(FaultStress, PipesSurviveScheduleShaking) {
@@ -158,13 +149,13 @@ TEST(FaultStress, TryPutFailuresDoNotLoseElements) {
   inj.arm(stress::seed(), SitePolicy{});
   inj.armSite(FaultSite::QueueTryPut,
               SitePolicy{/*delayPerMille=*/0, /*maxDelayMicros=*/0, /*failPerMille=*/300});
-  BlockingQueue<int> q(0);
+  SpscRing<int> q(2000);
   int ok = 0;
   for (int i = 0; i < 2000; ++i) {
     try {
       if (q.tryPut(i)) ++ok;
     } catch (const InjectedFault&) {
-      // Rejected before the lock: the element must NOT be enqueued.
+      // Rejected at entry: the element must NOT be enqueued.
     }
   }
   inj.disarm();
@@ -207,7 +198,7 @@ TEST(FaultStress, InjectedPutAllFailureIsAllOrNothing) {
   inj.arm(stress::seed(), SitePolicy{});
   inj.armSite(FaultSite::QueuePutAll,
               SitePolicy{/*delayPerMille=*/0, /*maxDelayMicros=*/0, /*failPerMille=*/300});
-  BlockingQueue<int> q(0);
+  SpscRing<int> q(1500);  // room for every batch
   std::size_t accepted = 0;
   int attempts = 0;
   for (int i = 0; i < 500; ++i) {

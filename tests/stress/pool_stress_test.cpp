@@ -7,11 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <latch>
 #include <memory>
 #include <stdexcept>
 #include <vector>
 
-#include "concur/blocking_queue.hpp"
+#include "concur/spsc_ring.hpp"
 #include "stress_util.hpp"
 
 namespace congen {
@@ -29,9 +30,9 @@ TEST(PoolStress, GrowthUnderNestedBlockedProducers) {
   std::atomic<int> completed{0};
 
   // Each level owns a mailbox its child fills.
-  std::vector<std::unique_ptr<BlockingQueue<int>>> mail;
+  std::vector<std::unique_ptr<SpscRing<int>>> mail;
   mail.reserve(static_cast<std::size_t>(depth));
-  for (int i = 0; i < depth; ++i) mail.push_back(std::make_unique<BlockingQueue<int>>(1));
+  for (int i = 0; i < depth; ++i) mail.push_back(std::make_unique<SpscRing<int>>(1));
 
   std::function<void(int)> level = [&](int i) {
     if (i + 1 < depth) {
@@ -107,8 +108,8 @@ TEST(PoolStress, ThreadCapExhaustionUnderContention) {
   // are expected, but an accepted task must always eventually run, and a
   // rejected task must never run.
   constexpr std::size_t kCap = 4;
+  std::latch gate(1);
   ThreadPool pool(kCap);
-  BlockingQueue<int> gate(1);
   std::atomic<int> accepted{0};
   std::atomic<int> rejectedMarks{0};
   std::atomic<int> ran{0};
@@ -118,7 +119,7 @@ TEST(PoolStress, ThreadCapExhaustionUnderContention) {
       try {
         pool.submit([&] {
           ran.fetch_add(1, std::memory_order_relaxed);
-          gate.take();  // park until released
+          gate.wait();  // park until released
         });
         accepted.fetch_add(1, std::memory_order_relaxed);
       } catch (const std::runtime_error&) {
@@ -129,7 +130,7 @@ TEST(PoolStress, ThreadCapExhaustionUnderContention) {
 
   EXPECT_LE(pool.threadsCreated(), kCap) << "the cap is a hard ceiling";
   EXPECT_GT(rejectedMarks.load(), 0) << "contention at the cap must reject";
-  gate.close();  // release every parked task
+  gate.count_down();  // release every parked task
   ASSERT_TRUE(eventually([&] { return ran.load() == accepted.load(); }, 20000))
       << "accepted=" << accepted.load() << " ran=" << ran.load()
       << " — an accepted task was lost, or a rejected one ran";

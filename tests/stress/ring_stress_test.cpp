@@ -11,9 +11,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <thread>
 #include <vector>
@@ -246,6 +249,221 @@ TEST(SpscRingStress, FaultInjectionShakesTheParkProtocol) {
   }
   producer.join();
   EXPECT_EQ(expect, items);
+}
+
+// ---------------------------------------------------------------------
+// Channel-contract torture: conservation, close-vs-put races, drain
+// after close. A ring has one producer and one consumer, so
+// many-to-many traffic is one ring per producer, each drained by one
+// consumer.
+// ---------------------------------------------------------------------
+
+/// P producers, each with its own ring, drained by C consumers (ring r
+/// belongs to consumer r % C); asserts exact once-delivery.
+void fanTorture(int producers, int consumers, int perProducer, std::size_t capacity) {
+  std::vector<std::unique_ptr<SpscRing<int>>> rings;
+  for (int p = 0; p < producers; ++p) rings.push_back(std::make_unique<SpscRing<int>>(capacity));
+  std::mutex gotMutex;
+  std::vector<int> got;
+
+  std::vector<std::thread> threads;
+  for (int p = 0; p < producers; ++p) {
+    threads.emplace_back([&, p] {
+      auto& ring = *rings[static_cast<std::size_t>(p)];
+      for (int i = 0; i < perProducer; ++i) ASSERT_TRUE(ring.put(p * perProducer + i));
+      ring.close();
+    });
+  }
+  for (int c = 0; c < consumers; ++c) {
+    threads.emplace_back([&, c] {
+      std::vector<int> local;
+      for (int r = c; r < producers; r += consumers) {
+        while (auto v = rings[static_cast<std::size_t>(r)]->take()) local.push_back(*v);
+      }
+      std::lock_guard lock(gotMutex);
+      got.insert(got.end(), local.begin(), local.end());
+    });
+  }
+  for (auto& t : threads) t.join();
+
+  ASSERT_EQ(got.size(), static_cast<std::size_t>(producers * perProducer));
+  std::sort(got.begin(), got.end());
+  for (int i = 0; i < producers * perProducer; ++i) {
+    ASSERT_EQ(got[static_cast<std::size_t>(i)], i) << "element lost or duplicated";
+  }
+}
+
+TEST(QueueStress, ManyToManyBounded) { fanTorture(4, 4, 1000 * stress::scale(), 8); }
+
+TEST(QueueStress, ManyToManyMailbox) {
+  // Capacity 1: every transfer is a full rendezvous, so both sides of
+  // every ring park and wake on each element.
+  fanTorture(4, 4, 250 * stress::scale(), 1);
+}
+
+TEST(QueueStress, CloseVsPutRace) {
+  // A producer hammers put() while a third thread slams the door at a
+  // random point. Invariant: elements taken + elements left buffered ==
+  // puts that reported success; nothing is lost, nothing is duplicated.
+  // (A put overlapping the close may publish after the consumer has
+  // seen closed-and-empty; that element stays buffered, and a dying ring
+  // books it as dropped_on_close.)
+  const int rounds = 50 * stress::scale();
+  for (int round = 0; round < rounds; ++round) {
+    SpscRing<int> q(4);
+    std::atomic<int> putOk{0};
+    std::atomic<int> taken{0};
+    std::thread producer([&] {
+      for (int i = 0; i < 600; ++i) {
+        if (!q.put(i)) return;  // closed under us — stop
+        putOk.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+    std::thread consumer([&] {
+      while (q.take()) taken.fetch_add(1, std::memory_order_relaxed);
+    });
+    std::thread closer([&] {
+      // Close at a slightly different moment each round.
+      std::this_thread::sleep_for(std::chrono::microseconds(round * 17 % 400));
+      q.close();
+    });
+    producer.join();
+    consumer.join();
+    closer.join();
+    int left = 0;
+    while (q.take()) ++left;
+    EXPECT_EQ(taken.load() + left, putOk.load())
+        << "round " << round << " seed " << stress::seed();
+  }
+}
+
+TEST(QueueStress, DrainAfterCloseDeliversEverythingBuffered) {
+  // Close with a full buffer and a concurrent consumer: every buffered
+  // element must still come out exactly once (close is a poison pill,
+  // not a discard).
+  const int rounds = 50 * stress::scale();
+  for (int round = 0; round < rounds; ++round) {
+    constexpr int kElems = 500;
+    SpscRing<int> q(kElems);
+    for (int i = 0; i < kElems; ++i) ASSERT_TRUE(q.put(i));
+    std::atomic<int> taken{0};
+    std::thread consumer([&] {
+      // Drain races the close below; every buffered element must come
+      // out before the poison pill is observed.
+      while (q.take()) taken.fetch_add(1, std::memory_order_relaxed);
+    });
+    std::this_thread::sleep_for(std::chrono::microseconds(round * 13 % 300));
+    q.close();
+    consumer.join();
+    EXPECT_EQ(taken.load(), kElems);
+  }
+}
+
+TEST(QueueStress, CloseRacesCloseIdempotently) {
+  const int rounds = 100 * stress::scale();
+  for (int round = 0; round < rounds; ++round) {
+    SpscRing<int> q(2);
+    q.put(1);
+    stress::onThreads(4, [&](int) { q.close(); });
+    EXPECT_TRUE(q.closed());
+    EXPECT_EQ(q.take(), 1);
+    EXPECT_FALSE(q.take().has_value());
+  }
+}
+
+TEST(QueueStress, TryOpsConserveUnderContention) {
+  // Hammering through the non-blocking API only: successful tryPuts ==
+  // successful tryTakes + what is left buffered.
+  SpscRing<int> q(16);
+  std::atomic<int> putOk{0};
+  std::atomic<int> takeOk{0};
+  std::atomic<bool> stop{false};
+  const int attempts = 60000 * stress::scale();
+
+  std::thread consumer([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      if (q.tryTake()) takeOk.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  for (int i = 0; i < attempts; ++i) {
+    if (q.tryPut(i)) putOk.fetch_add(1, std::memory_order_relaxed);
+  }
+  stop = true;
+  consumer.join();
+
+  int drained = 0;
+  while (q.tryTake()) ++drained;
+  EXPECT_EQ(putOk.load(), takeOk.load() + drained) << "try-API conservation";
+}
+
+TEST(QueueStress, MixedBlockingAndTryTraffic) {
+  // Both sides alternate between the blocking and the non-blocking API —
+  // the mix pipes and schedulers actually produce.
+  SpscRing<int> q(4);
+  const int elems = 1500 * stress::scale();
+  std::atomic<int> delivered{0};
+
+  std::thread producer([&] {
+    for (int i = 0; i < elems; ++i) {
+      if (i % 2 == 0) {
+        EXPECT_TRUE(q.put(i));
+      } else {
+        while (!q.tryPut(i)) std::this_thread::yield();
+      }
+    }
+    q.close();
+  });
+  for (int n = 0;; ++n) {
+    if (n % 3 == 0) {
+      if (q.tryTake()) delivered.fetch_add(1, std::memory_order_relaxed);
+    } else if (q.take()) {
+      delivered.fetch_add(1, std::memory_order_relaxed);
+    } else {
+      break;  // closed and drained
+    }
+  }
+  producer.join();
+  EXPECT_EQ(delivered.load(), elems);
+}
+
+TEST(QueueBulkStress, MixedBulkAndScalarConservationWithFifoPerProducer) {
+  // The producer alternates putAll batches with scalar puts; the
+  // consumer alternates takeUpTo with scalar takes. The stream must come
+  // out complete and in order — takeUpTo may not reorder within a batch
+  // or against the scalar traffic.
+  const int elems = 2700 * stress::scale();
+  SpscRing<int> q(8);
+
+  std::thread producer([&] {
+    int next = 0;
+    while (next < elems) {
+      const int batchSize = 1 + (next % 7);
+      if (next % 3 == 0) {
+        std::vector<int> batch;
+        for (int i = 0; i < batchSize && next < elems; ++i) batch.push_back(next++);
+        const std::size_t want = batch.size();
+        ASSERT_EQ(q.putAll(batch), want) << "no putAll may be cut short before close";
+        ASSERT_TRUE(batch.empty()) << "accepted elements must be consumed from the batch";
+      } else {
+        ASSERT_TRUE(q.put(next++));
+      }
+    }
+    q.close();
+  });
+  int expect = 0;
+  for (int n = 0;; ++n) {
+    if (n % 2 == 0) {
+      const auto chunk = q.takeUpTo(5);
+      if (chunk.empty()) break;  // closed and drained
+      for (int v : chunk) ASSERT_EQ(v, expect++) << "bulk hand-off reordered the stream";
+    } else {
+      const auto v = q.take();
+      if (!v) break;
+      ASSERT_EQ(*v, expect++) << "bulk hand-off reordered the stream";
+    }
+  }
+  producer.join();
+  EXPECT_EQ(expect, elems) << "element lost";
 }
 
 }  // namespace

@@ -17,10 +17,11 @@
 #include <atomic>
 #include <chrono>
 #include <cstddef>
+#include <latch>
 #include <thread>
 #include <vector>
 
-#include "concur/blocking_queue.hpp"
+#include "concur/spsc_ring.hpp"
 #include "concur/fault_injection.hpp"
 #include "stress_util.hpp"
 
@@ -33,9 +34,9 @@ TEST(StealStress, WorkerSubmittedTaskBehindABlockedWorkerIsStolen) {
   // spawned has home shard 1, so the only way the task can run is a
   // steal. This is deterministic, not probabilistic: worker homes are
   // assigned round-robin from the spawn index.
+  SpscRing<int> gate(1);
   ThreadPool pool;
   ASSERT_GE(pool.shardCount(), 2u);
-  BlockingQueue<int> gate(1);
   std::atomic<bool> innerRan{false};
   pool.submit([&] {
     pool.submit([&] { innerRan = true; });
@@ -85,14 +86,14 @@ TEST(StealStress, GrowthInvariantSurvivesBlockedWorkersOnEveryShard) {
   // Block more workers than there are shards so every shard has at
   // least one blocked "owner", then prove later submissions still run
   // (growth) and land wherever a live worker can steal them (liveness).
+  std::latch gate(1);
   ThreadPool pool;
-  BlockingQueue<int> gate(1);
   const int blocked = static_cast<int>(pool.shardCount()) + 2;
   std::atomic<int> started{0};
   for (int i = 0; i < blocked; ++i) {
     pool.submit([&] {
       ++started;
-      gate.take();
+      gate.wait();
     });
   }
   ASSERT_TRUE(stress::eventually([&] { return started.load() == blocked; }));
@@ -101,7 +102,7 @@ TEST(StealStress, GrowthInvariantSurvivesBlockedWorkersOnEveryShard) {
   for (int i = 0; i < extras; ++i) pool.submit([&extraRan] { ++extraRan; });
   ASSERT_TRUE(stress::eventually([&] { return extraRan.load() == extras; }))
       << "a submission was stranded behind blocked workers";
-  gate.close();
+  gate.count_down();
   pool.shutdown();
 }
 

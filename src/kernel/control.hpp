@@ -6,6 +6,7 @@
 // how `every x := !l do suspend f(x)` turns a loop into a generator.
 #pragma once
 
+#include <atomic>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -193,7 +194,15 @@ class BodyPool {
     // could mint copies), so use_count()==1 cannot go stale here.
     for (auto it = free_.rbegin(); it != free_.rend(); ++it) {
       if (it->use_count() == 1) {
-        GenPtr body = std::move(*it);
+        // The last outside holder may still have read the body after it
+        // parked (re-polling a terminated body reads its flag), possibly
+        // on another thread; its release decrement of the count is the
+        // only record that it is done. use_count() is a relaxed load, so
+        // acquire that decrement before the body is rebound: the fence
+        // does so in the memory model, and copying the entry (an acq_rel
+        // increment in libstdc++) does so in a form TSan can see.
+        std::atomic_thread_fence(std::memory_order_acquire);
+        GenPtr body = *it;
         free_.erase(std::next(it).base());
         if (metrics) [[unlikely]] obs::KernelStats::get().framesPooled.add(1);
         return body;

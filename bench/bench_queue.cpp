@@ -40,9 +40,9 @@ void queueHandoff(benchmark::State& state) {
 void queueHandoffBatched(benchmark::State& state) {
   // Bulk hand-off: the producer accumulates `batch` elements and
   // publishes them with one putAll; the consumer drains with takeUpTo.
-  // batch == 1 runs the per-element protocol (scalar put/take) — the
-  // same degenerate path Pipe selects at batchCap 1 — and anchors the
-  // element-vs-batch throughput comparison in the bench JSON.
+  // batch == 1 runs the scalar put/take ops — the protocol of the
+  // native Fig. 6 pipeline — and anchors the element-vs-batch throughput
+  // comparison in the bench JSON.
   const auto capacity = static_cast<std::size_t>(state.range(0));
   const auto batch = static_cast<std::size_t>(state.range(1));
   constexpr int kItems = 20000;
@@ -95,18 +95,17 @@ void queueUncontended(benchmark::State& state) {
 }
 
 void pipeThroughput(benchmark::State& state) {
-  // End-to-end pipe cost per element at different throttle bounds and
-  // batch caps: range(0) = capacity, range(1) = batchCap (1 = the
-  // per-element protocol, the pre-batching baseline).
+  // End-to-end pipe cost per element at different throttle bounds
+  // (range(0) = capacity). Capacity 1 is the future/mailbox rendezvous:
+  // its hand-off cap is 1, so every value crosses on its own.
   const auto capacity = static_cast<std::size_t>(state.range(0));
-  const auto batchCap = static_cast<std::size_t>(state.range(1));
   constexpr std::int64_t kItems = 20000;
   for (auto _ : state) {
     auto pipe = Pipe::create(
         [] {
           return RangeGen::create(Value::integer(1), Value::integer(kItems), Value::integer(1));
         },
-        capacity, ThreadPool::global(), batchCap);
+        capacity);
     std::int64_t count = 0;
     while (pipe->activate()) ++count;
     benchmark::DoNotOptimize(count);
@@ -155,9 +154,7 @@ BENCHMARK(queueHandoffBatched)->Name("queue/handoff_batched")
     ->Args({1024, 1})->Args({1024, 8})->Args({1024, 64})->Args({1024, 256})
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(queueUncontended)->Name("queue/uncontended");
-BENCHMARK(pipeThroughput)->Name("queue/pipe_capacity")
-    ->Args({4, 1})->Args({64, 1})->Args({1024, 1})
-    ->Args({4, 4})->Args({64, 64})->Args({1024, 64})
+BENCHMARK(pipeThroughput)->Name("queue/pipe_capacity")->Arg(1)->Arg(4)->Arg(64)->Arg(1024)
     ->Unit(benchmark::kMillisecond);
 // UseRealTime: the bench thread only spawns and joins the consumers, so
 // its CPU clock would wildly inflate items/s; wall time is the metric.

@@ -38,7 +38,7 @@ enum class FaultSite : std::uint8_t {
   QueuePutAll,    // SpscRing::putAll entry (failure-capable)
   QueueTakeUpTo,  // SpscRing::takeUpTo entry (delay only)
   PipeBatchFlush, // Pipe producer about to publish a batch (delay only)
-  QueueTimedWait, // timed/cancellable queue op (putFor family) entry (delay only)
+  QueueTimedWait, // timed/cancellable queue op (putAllFor/takeUpToFor) entry (delay only)
   CancelSignal,   // StopSource::requestStop entry (delay only)
   PoolSteal,      // worker about to sweep sibling deques for work (delay only)
   ArenaAlloc,     // arena operator-new fall-through (failure-capable: 305)

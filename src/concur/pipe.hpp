@@ -7,13 +7,15 @@
 //   |>e → new Iterator() { next() { new Thread { run() {
 //      c=|<>e; while (!fail) { out.put(@c); }}}.start() }}
 //
-// The producer drives the co-expression on a pool thread, putting each
-// result into a bounded SpscRing (one producer, one consumer: exactly the
-// ring's contract); activation (@) is ring take. Bounding the capacity
-// throttles the producer. Destroying a pipe closes the ring, which makes
-// the producer's put() fail so an abandoned pipe can never deadlock a
-// worker. A capacity-1 pipe over a singleton expression
-// is a future.
+// The producer drives the co-expression on a pool thread, handing its
+// results to a bounded SpscRing (one producer, one consumer: exactly the
+// ring's contract) in adaptive batches of at most min(64, capacity) —
+// one protocol for every pipe, which at capacity 1 publishes each value
+// as it is produced; activation (@) takes from the ring. Bounding the
+// capacity throttles the producer. Destroying a pipe closes the ring,
+// which makes the producer's flush fail so an abandoned pipe can never
+// deadlock a worker. A capacity-1 pipe over a singleton expression is a
+// future.
 //
 // Structured cancellation (see cancel.hpp): every pipe owns a
 // StopSource, and every queue wait on either side uses that pipe's own
@@ -56,25 +58,17 @@ class Pipe final : public CoExpression {
   /// [1, kMaxCapacity] (0 becomes 1). The ring pre-sizes its slot array,
   /// so the cap also bounds the memory one pipe can commit up front.
   static constexpr std::size_t kMaxCapacity = std::size_t{1} << 20;
-  /// Upper bound for the adaptive producer-side batch. Batching moves
-  /// whole segments through the ring (one release store + one wake check
-  /// per batch) instead of paying that cost per element. A cap of 1
-  /// disables batching entirely; capacity <= 1 pipes (futures/mailboxes)
-  /// are always unbatched regardless of the cap.
-  static constexpr std::size_t kDefaultBatch = 64;
 
   /// Create and immediately start producing on a pool thread.
   /// `capacity` goes through the governor's pipe-depth clamp, then into
   /// [1, kMaxCapacity].
-  Pipe(GenFactory factory, std::size_t capacity, ThreadPool& pool,
-       std::size_t batchCap = kDefaultBatch);
+  Pipe(GenFactory factory, std::size_t capacity, ThreadPool& pool);
   ~Pipe() override;
 
   static Rc<Pipe> create(GenFactory factory,
                          std::size_t capacity = kDefaultCapacity,
-                         ThreadPool& pool = ThreadPool::global(),
-                         std::size_t batchCap = kDefaultBatch) {
-    return makeRc<Pipe>(std::move(factory), capacity, pool, batchCap);
+                         ThreadPool& pool = ThreadPool::global()) {
+    return makeRc<Pipe>(std::move(factory), capacity, pool);
   }
 
   /// Activation = take from the output channel. A run-time error raised
@@ -119,10 +113,6 @@ class Pipe final : public CoExpression {
   /// any-thread safe).
   [[nodiscard]] SpscRing<Value>& queue() const noexcept { return state_->queue; }
 
-  /// Effective batch cap after clamping to the queue capacity (1 means
-  /// the pipe runs the unbatched per-element protocol).
-  [[nodiscard]] std::size_t batchCap() const noexcept { return batchCap_; }
-
   /// Diagnostic dump of every live pipe in the process (queue depth,
   /// close/cancel flags, results delivered) — the payload of the
   /// congen-run --timeout watchdog, so a hung pipeline fails fast with
@@ -149,11 +139,10 @@ class Pipe final : public CoExpression {
   // too.
   governor::PipeCharge quotaCharge_;
   // The ring's capacity is the one resolved value (see boundedCapacity
-  // in pipe.cpp): batchCap_ and refreshed() read it back from the ring,
-  // so a concurrent setquota("pipedepth") cannot make them disagree.
+  // in pipe.cpp): the hand-off cap and refreshed() read it back from the
+  // ring, so a concurrent setquota("pipedepth") cannot make them disagree.
   std::shared_ptr<State> state_;
   ThreadPool* pool_;
-  std::size_t batchCap_;
   // produced_/finished_ are relaxed atomics solely so the watchdog's
   // dumpAll can read them from another thread; there is no ordering
   // requirement (single consumer).
@@ -168,8 +157,7 @@ class Pipe final : public CoExpression {
 
 /// Kernel node for `|> e`: yields a started pipe once per cycle.
 GenPtr makePipeCreateGen(GenFactory bodyFactory, std::size_t capacity = Pipe::kDefaultCapacity,
-                         ThreadPool& pool = ThreadPool::global(),
-                         std::size_t batchCap = Pipe::kDefaultBatch);
+                         ThreadPool& pool = ThreadPool::global());
 
 /// A future: a capacity-1 pipe computing a single value in the
 /// background; get() blocks for the result.

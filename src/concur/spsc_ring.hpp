@@ -12,7 +12,8 @@
 // The ring is the pipe's blocking channel ("a blocking channel, or
 // blocking queue, has put and take operations that wait until the queue
 // of results is not full or not empty", Section III.B): scalar and bulk
-// ops, the timed/cancellable *For family with QueueOpStatus precedence
+// ops, the timed/cancellable bulk ops (putAllFor/takeUpToFor, the only
+// ones a pipe uses) with QueueOpStatus precedence
 // (kCancelled > transfer > kClosed > kTimedOut), close/drain semantics —
 // closing releases both sides: put fails (so an abandoned pipe's
 // producer can never deadlock) and take drains what is buffered before
@@ -320,31 +321,6 @@ class SpscRing {
   // sides; it touches only atomics, so the lock-order audit of cancel.hpp
   // is trivially satisfied (there is no lock).
 
-  /// put() with cancellation and an optional deadline.
-  QueueOpStatus putFor(T v, const CancelToken& token, QueueDeadline deadline = {}) {
-    CONGEN_FAULT_POINT(QueuePut);
-    CONGEN_FAULT_POINT(QueueTimedWait);
-    CONGEN_SPSC_SIDE_GUARD(putBusy_);
-    const bool metrics = obs::metricsEnabled();
-    std::optional<CancelCallback> wake;
-    bool timedOut = false;
-    for (;;) {
-      if (token.cancelled()) return QueueOpStatus::kCancelled;
-      if (closed_.load(std::memory_order_acquire)) return QueueOpStatus::kClosed;
-      const std::uint64_t t = tail_.load(std::memory_order_relaxed);
-      if (spaceFor(t) > 0) {
-        slots_[t & mask_] = std::move(v);
-        tail_.store(t + 1, std::memory_order_release);
-        if (metrics) [[unlikely]] countScalarPut();
-        wakeConsumerIfParked();
-        return QueueOpStatus::kOk;
-      }
-      if (timedOut) return QueueOpStatus::kTimedOut;
-      if (registerWake(token, wake)) continue;
-      timedOut = !parkProducerFor(token, deadline, metrics);
-    }
-  }
-
   /// putAll() with cancellation and an optional deadline; `accepted`
   /// reports the published prefix (erased from `batch`).
   QueueOpStatus putAllFor(std::vector<T>& batch, std::size_t& accepted, const CancelToken& token,
@@ -384,38 +360,6 @@ class SpscRing {
     }
     batch.erase(batch.begin(), batch.begin() + static_cast<std::ptrdiff_t>(accepted));
     return status;
-  }
-
-  /// take() with cancellation and an optional deadline. kOk sets `out`;
-  /// kClosed means closed-and-drained; a cancelled consumer returns
-  /// kCancelled without draining (cancellation is abandonment).
-  QueueOpStatus takeFor(std::optional<T>& out, const CancelToken& token,
-                        QueueDeadline deadline = {}) {
-    CONGEN_FAULT_POINT(QueueTake);
-    CONGEN_FAULT_POINT(QueueTimedWait);
-    CONGEN_SPSC_SIDE_GUARD(takeBusy_);
-    out.reset();
-    const bool metrics = obs::metricsEnabled();
-    std::optional<CancelCallback> wake;
-    bool timedOut = false;
-    for (;;) {
-      if (token.cancelled()) return QueueOpStatus::kCancelled;
-      const std::uint64_t h = head_.load(std::memory_order_relaxed);
-      if (availableAt(h) > 0) {
-        out = std::move(slots_[h & mask_]);
-        head_.store(h + 1, std::memory_order_release);
-        if (metrics) [[unlikely]] countScalarTake();
-        wakeProducerIfParked();
-        return QueueOpStatus::kOk;
-      }
-      if (closed_.load(std::memory_order_acquire)) {
-        if (availableAt(h) > 0) continue;
-        return QueueOpStatus::kClosed;
-      }
-      if (timedOut) return QueueOpStatus::kTimedOut;
-      if (registerWake(token, wake)) continue;
-      timedOut = !parkConsumerFor(token, deadline, metrics);
-    }
   }
 
   /// takeUpTo() with cancellation and an optional deadline.

@@ -366,8 +366,7 @@ class Compiler {
     if (op == "|<>") return CoExprCreateGen::create(coExprFactory(n->kids[0], /*shadow=*/true));
     if (op == "|>") {
       return makePipeCreateGen(coExprFactory(n->kids[0], /*shadow=*/true),
-                               interp_.options_.pipeCapacity, ThreadPool::global(),
-                               interp_.options_.pipeBatch);
+                               interp_.options_.pipeCapacity, ThreadPool::global());
     }
     return makeUnaryOpGen(op, expr(n->kids[0]));
   }

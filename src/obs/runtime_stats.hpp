@@ -29,11 +29,11 @@ namespace congen::obs {
 /// every instantiation and instance. The names keep their historical
 /// queue.* prefix.
 struct QueueStats {
-  Counter& putElements;       ///< scalar put()/tryPut()/putFor() successes
-  Counter& putBatches;        ///< bulk publications (one per putAll flush)
+  Counter& putElements;       ///< scalar put()/tryPut() successes (raw rings; pipes never)
+  Counter& putBatches;        ///< bulk publications (one per putAll/putAllFor flush)
   Counter& putBatchElements;  ///< elements moved by bulk publications
-  Counter& takeElements;      ///< scalar take()/tryTake()/takeFor() successes
-  Counter& takeBatches;       ///< bulk drains (one per takeUpTo)
+  Counter& takeElements;      ///< scalar take()/tryTake() successes (raw rings; pipes never)
+  Counter& takeBatches;       ///< bulk drains (one per takeUpTo/takeUpToFor)
   Counter& takeBatchElements; ///< elements moved by bulk drains
   Counter& droppedOnClose;    ///< elements still queued at queue destruction
   Gauge& depth;               ///< live elements across all queues

@@ -30,9 +30,8 @@ struct CancellablePipeline {
 class Pipeline {
  public:
   explicit Pipeline(std::size_t pipeCapacity = Pipe::kDefaultCapacity,
-                    ThreadPool& pool = ThreadPool::global(),
-                    std::size_t pipeBatch = Pipe::kDefaultBatch)
-      : capacity_(pipeCapacity), pool_(&pool), batch_(pipeBatch) {}
+                    ThreadPool& pool = ThreadPool::global())
+      : capacity_(pipeCapacity), pool_(&pool) {}
 
   /// Append a stage: f is mapped (goal-directed invocation, so all of
   /// f's results per element join the stream) over the previous stage's
@@ -66,7 +65,6 @@ class Pipeline {
   std::vector<ProcPtr> stages_;
   std::size_t capacity_;
   ThreadPool* pool_;
-  std::size_t batch_;
 };
 
 }  // namespace congen

@@ -14,7 +14,6 @@ namespace {
 interp::Interpreter::Options sessionOptions(const Session::Config& config) {
   interp::Interpreter::Options options;
   options.pipeCapacity = config.pipeCapacity;
-  options.pipeBatch = config.pipeBatch;
   options.backend = config.backend;
   options.quotas = config.quotas;
   options.governed = true;  // always: the governor is the session root

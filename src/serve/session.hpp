@@ -47,7 +47,6 @@ class Session {
   struct Config {
     governor::Limits quotas;  ///< per-tenant budgets (0 = unlimited)
     std::size_t pipeCapacity = 1024;
-    std::size_t pipeBatch = 64;
     interp::Backend backend = interp::defaultBackend();
     /// Per-request supervision (0 = off): soft-cancel after `soft`,
     /// diagnostics + hard terminate (816) after `hard`.

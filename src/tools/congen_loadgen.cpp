@@ -28,6 +28,11 @@
 //                  [--json FILE]             google-benchmark-shaped
 //                                            report (CI diff gate)
 //
+// Numeric values are plain decimals, range-checked by tools/flags.hpp:
+// --port in [1, 65535], --sessions in [1, 4096], --duration in
+// [1, 10^9]. Garbage, a sign, trailing junk or an out-of-range value
+// exits 2 naming the flag.
+//
 // Exit status: 0 on a clean run, 1 when any session was shed (815) or
 // any response was a typed error — the CI smoke job leans on that.
 #include <algorithm>
@@ -43,8 +48,15 @@
 
 #include "serve/net.hpp"
 #include "serve/protocol.hpp"
+#include "tools/flags.hpp"
 
 namespace {
+
+namespace tools = congen::tools;
+
+/// One OS thread per session: the bound keeps a mistyped count from
+/// asking for millions of threads.
+constexpr std::uint64_t kMaxSessions = 4096;
 
 using Clock = std::chrono::steady_clock;
 namespace serve = congen::serve;
@@ -261,7 +273,7 @@ int main(int argc, char** argv) {
   std::string host = "127.0.0.1";
   std::uint16_t port = 7117;
   std::size_t sessions = 64;
-  long durationSec = 10;
+  std::uint64_t durationSec = 10;
   std::uint64_t itersPerSession = 0;
   std::uint64_t thinkMs = 0;
   Mix mix = Mix::kMixed;
@@ -276,18 +288,21 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    auto number = [&](const char* flag, std::uint64_t lo, std::uint64_t hi) -> std::uint64_t {
+      return tools::numberOrExit("congen-loadgen", flag, value(flag), lo, hi);
+    };
     if (arg == "--host") {
       host = value("--host");
     } else if (arg == "--port") {
-      port = static_cast<std::uint16_t>(std::strtoul(value("--port"), nullptr, 10));
+      port = static_cast<std::uint16_t>(number("--port", 1, 65535));
     } else if (arg == "--sessions") {
-      sessions = static_cast<std::size_t>(std::strtoull(value("--sessions"), nullptr, 10));
+      sessions = static_cast<std::size_t>(number("--sessions", 1, kMaxSessions));
     } else if (arg == "--duration") {
-      durationSec = std::strtol(value("--duration"), nullptr, 10);
+      durationSec = number("--duration", 1, tools::kMaxSeconds);
     } else if (arg == "--iters-per-session") {
-      itersPerSession = std::strtoull(value("--iters-per-session"), nullptr, 10);
+      itersPerSession = number("--iters-per-session", 0, tools::kMaxU64);
     } else if (arg == "--think") {
-      thinkMs = std::strtoull(value("--think"), nullptr, 10);
+      thinkMs = number("--think", 0, tools::kMaxSeconds * 1000);
     } else if (arg == "--json") {
       jsonPath = value("--json");
     } else if (arg == "--mix") {
@@ -308,10 +323,6 @@ int main(int argc, char** argv) {
       std::cerr << "congen-loadgen: unknown option " << arg << "\n";
       return 2;
     }
-  }
-  if (sessions == 0 || durationSec <= 0) {
-    std::cerr << "congen-loadgen: --sessions and --duration must be positive\n";
-    return 2;
   }
 
   Totals totals;

@@ -41,6 +41,10 @@
 //                                       governed session: soft-cancel
 //                                       after <s> seconds, diagnostics +
 //                                       hard teardown after <h>
+//
+// Numeric values are plain decimals (K/M/G suffixes on the --max-*
+// budgets only), range-checked by tools/flags.hpp: garbage, a sign,
+// trailing junk or an out-of-range value exits 2 naming the flag.
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
@@ -58,29 +62,13 @@
 #include "obs/trace_sink.hpp"
 #include "runtime/collections.hpp"
 #include "runtime/error.hpp"
+#include "tools/flags.hpp"
 
 namespace {
 
-constexpr std::size_t kReplResultLimit = 64;  // guard against infinite generators
+namespace tools = congen::tools;
 
-/// Parse "64M"-style budget values (K/M/G binary suffixes). Returns
-/// false on garbage; 0 is accepted and means unlimited.
-bool parseBudget(const std::string& text, std::uint64_t& out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  const unsigned long long raw = std::strtoull(text.c_str(), &end, 10);
-  std::uint64_t scale = 1;
-  if (*end == 'K' || *end == 'k') {
-    scale = 1024, ++end;
-  } else if (*end == 'M' || *end == 'm') {
-    scale = 1024 * 1024, ++end;
-  } else if (*end == 'G' || *end == 'g') {
-    scale = 1024ULL * 1024 * 1024, ++end;
-  }
-  if (end == text.c_str() || *end != '\0') return false;
-  out = static_cast<std::uint64_t>(raw) * scale;
-  return true;
-}
+constexpr std::size_t kReplResultLimit = 64;  // guard against infinite generators
 
 void printResults(congen::GenPtr gen, std::size_t limit) {
   std::size_t count = 0;
@@ -191,9 +179,9 @@ int run(int argc, char** argv, congen::interp::Interpreter& interp) {
 int main(int argc, char** argv) {
   congen::interp::Interpreter::Options options;
   ObsOptions obs;
-  long timeoutSeconds = 0;
-  long superviseSoftSec = 0;
-  long superviseHardSec = 0;
+  std::uint64_t timeoutSeconds = 0;
+  std::uint64_t superviseSoftSec = 0;
+  std::uint64_t superviseHardSec = 0;
   // Prefix options, in any order: --timeout <sec> arms the watchdog,
   // --trace enables iterator-protocol monitoring, --stats /
   // --metrics-json / --trace-out wire the metrics registry and the
@@ -214,11 +202,8 @@ int main(int argc, char** argv) {
       continue;
     }
     if (argc >= 3 && std::string(argv[1]) == "--timeout") {
-      timeoutSeconds = std::strtol(argv[2], nullptr, 10);
-      if (timeoutSeconds <= 0) {
-        std::cerr << "congen-run: --timeout needs a positive number of seconds\n";
-        return 2;
-      }
+      timeoutSeconds =
+          tools::numberOrExit("congen-run", "--timeout", argv[2], 1, tools::kMaxSeconds);
       argc -= 2;
       argv += 2;
       continue;
@@ -255,37 +240,20 @@ int main(int argc, char** argv) {
       continue;
     }
     if (argc >= 2 && std::string(argv[1]).rfind("--max-", 0) == 0) {
-      const std::string arg(argv[1]);
-      auto budgetFlag = [&](const std::string& prefix, std::uint64_t& slot) -> int {
-        if (arg.rfind(prefix, 0) != 0) return 0;
-        if (!parseBudget(arg.substr(prefix.size()), slot)) {
-          std::cerr << "congen-run: bad value in " << arg << " (want e.g. 64M)\n";
-          return -1;
-        }
-        return 1;
-      };
-      int r = 0;
-      if ((r = budgetFlag("--max-heap=", options.quotas.maxHeapBytes)) != 0 ||
-          (r = budgetFlag("--max-fuel=", options.quotas.maxFuel)) != 0 ||
-          (r = budgetFlag("--max-pipes=", options.quotas.maxPipes)) != 0 ||
-          (r = budgetFlag("--max-coexprs=", options.quotas.maxCoexprs)) != 0 ||
-          (r = budgetFlag("--max-pipe-depth=", options.quotas.maxPipeDepth)) != 0 ||
-          (r = budgetFlag("--max-depth=", options.quotas.maxDepth)) != 0) {
-        if (r < 0) return 2;
-        --argc;
-        ++argv;
-        continue;
-      }
-      std::cerr << "congen-run: unknown option " << arg << "\n";
-      return 2;
-    }
-    if (argc >= 4 && std::string(argv[1]) == "--supervise") {
-      superviseSoftSec = std::strtol(argv[2], nullptr, 10);
-      superviseHardSec = std::strtol(argv[3], nullptr, 10);
-      if (superviseSoftSec <= 0 || superviseHardSec < superviseSoftSec) {
-        std::cerr << "congen-run: --supervise wants SOFT HARD seconds, 0 < SOFT <= HARD\n";
+      if (!tools::parseQuotaFlag("congen-run", argv[1], options.quotas)) {
+        std::cerr << "congen-run: unknown option " << argv[1] << "\n";
         return 2;
       }
+      --argc;
+      ++argv;
+      continue;
+    }
+    if (argc >= 4 && std::string(argv[1]) == "--supervise") {
+      // SOFT HARD seconds, 0 < SOFT <= HARD.
+      superviseSoftSec =
+          tools::numberOrExit("congen-run", "--supervise", argv[2], 1, tools::kMaxSeconds);
+      superviseHardSec = tools::numberOrExit("congen-run", "--supervise", argv[3],
+                                             superviseSoftSec, tools::kMaxSeconds);
       options.governed = true;  // supervision needs a session governor
       argc -= 3;
       argv += 3;

@@ -23,8 +23,8 @@
 //   --request-soft MS --request-hard MS        per-request supervision:
 //                                              soft-cancel / hard 816
 //                                              (0 = off, at most 10^12)
-//   --pipe-capacity N --pipe-batch N           session pipe knobs, each
-//                                              in [1, 2^20]
+//   --pipe-capacity N                          session pipe capacity, in
+//                                              [1, 2^20]
 //   --duration S                               exit after S seconds
 //                                              (CI smoke; 0 = run until
 //                                              SIGINT/SIGTERM; at most
@@ -32,7 +32,8 @@
 //
 // Every numeric flag takes a plain decimal; only the byte and fuel
 // budgets (--max-*, --admission-heap) also take K/M/G suffixes. Garbage,
-// trailing junk or an out-of-range value exits 2 naming the flag.
+// trailing junk or an out-of-range value exits 2 naming the flag
+// (tools/flags.hpp).
 //   --stats                                    text metrics snapshot to
 //                                              stderr at exit
 //   --metrics-json FILE                        JSON snapshot at exit
@@ -41,60 +42,27 @@
 //   congen-serve: listening on HOST:PORT
 // and flushes it — scripts wait for that line before connecting.
 #include <atomic>
-#include <cctype>
-#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <string>
 #include <thread>
 
 #include "concur/pipe.hpp"
 #include "obs/metrics.hpp"
 #include "serve/server.hpp"
+#include "tools/flags.hpp"
 
 namespace {
+
+namespace tools = congen::tools;
 
 volatile std::sig_atomic_t g_signalled = 0;
 
 void onSignal(int) { g_signalled = 1; }
-
-/// Upper bound for the time flags: about 31 years, so steady_clock
-/// deadline arithmetic in nanoseconds can never overflow.
-constexpr std::uint64_t kMaxSeconds = 1'000'000'000;
-
-/// Parse a plain decimal into [lo, hi], with an optional K/M/G (binary)
-/// suffix when `suffixes` is set (byte and fuel budgets). Signs,
-/// whitespace, trailing junk, overflow and values outside the range are
-/// all rejected.
-bool parseBudget(const std::string& text, std::uint64_t& out, std::uint64_t lo = 0,
-                 std::uint64_t hi = std::numeric_limits<std::uint64_t>::max(),
-                 bool suffixes = true) {
-  if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0]))) return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long raw = std::strtoull(text.c_str(), &end, 10);
-  if (errno == ERANGE) return false;
-  std::uint64_t scale = 1;
-  if (suffixes) {
-    if (*end == 'K' || *end == 'k') {
-      scale = 1024, ++end;
-    } else if (*end == 'M' || *end == 'm') {
-      scale = 1024 * 1024, ++end;
-    } else if (*end == 'G' || *end == 'g') {
-      scale = 1024ULL * 1024 * 1024, ++end;
-    }
-  }
-  if (*end != '\0' || raw > hi / scale) return false;
-  const std::uint64_t value = static_cast<std::uint64_t>(raw) * scale;
-  if (value < lo) return false;
-  out = value;
-  return true;
-}
 
 }  // namespace
 
@@ -116,14 +84,7 @@ int main(int argc, char** argv) {
     };
     auto number = [&](const char* flag, std::uint64_t lo, std::uint64_t hi,
                       bool suffixes = false) -> std::uint64_t {
-      const char* text = value(flag);
-      std::uint64_t v = 0;
-      if (!parseBudget(text, v, lo, hi, suffixes)) {
-        std::cerr << "congen-serve: bad " << flag << " value '" << text << "' (want " << lo
-                  << ".." << hi << ")\n";
-        std::exit(2);
-      }
-      return v;
+      return tools::numberOrExit("congen-serve", flag, value(flag), lo, hi, suffixes);
     };
     if (arg == "--host") {
       config.host = value("--host");
@@ -140,45 +101,24 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg.rfind("--max-", 0) == 0) {
-      auto& q = config.session.quotas;
-      auto budgetFlag = [&](const std::string& prefix, std::uint64_t& slot) -> int {
-        if (arg.rfind(prefix, 0) != 0) return 0;
-        if (!parseBudget(arg.substr(prefix.size()), slot)) {
-          std::cerr << "congen-serve: bad value in " << arg << " (want e.g. 64M)\n";
-          return -1;
-        }
-        return 1;
-      };
-      int r = 0;
-      if ((r = budgetFlag("--max-heap=", q.maxHeapBytes)) != 0 ||
-          (r = budgetFlag("--max-fuel=", q.maxFuel)) != 0 ||
-          (r = budgetFlag("--max-pipes=", q.maxPipes)) != 0 ||
-          (r = budgetFlag("--max-coexprs=", q.maxCoexprs)) != 0 ||
-          (r = budgetFlag("--max-pipe-depth=", q.maxPipeDepth)) != 0 ||
-          (r = budgetFlag("--max-depth=", q.maxDepth)) != 0) {
-        if (r < 0) return 2;
-      } else {
+      if (!tools::parseQuotaFlag("congen-serve", arg, config.session.quotas)) {
         std::cerr << "congen-serve: unknown option " << arg << "\n";
         return 2;
       }
     } else if (arg == "--admission-sessions") {
-      config.admission.maxSessions =
-          number("--admission-sessions", 0, std::numeric_limits<std::uint64_t>::max());
+      config.admission.maxSessions = number("--admission-sessions", 0, tools::kMaxU64);
     } else if (arg == "--admission-heap") {
-      config.admission.maxCommittedHeapBytes =
-          number("--admission-heap", 0, std::numeric_limits<std::uint64_t>::max(), true);
+      config.admission.maxCommittedHeapBytes = number("--admission-heap", 0, tools::kMaxU64, true);
     } else if (arg == "--request-soft") {
       config.session.requestSoft =
-          std::chrono::milliseconds(number("--request-soft", 0, kMaxSeconds * 1000));
+          std::chrono::milliseconds(number("--request-soft", 0, tools::kMaxSeconds * 1000));
     } else if (arg == "--request-hard") {
       config.session.requestHard =
-          std::chrono::milliseconds(number("--request-hard", 0, kMaxSeconds * 1000));
+          std::chrono::milliseconds(number("--request-hard", 0, tools::kMaxSeconds * 1000));
     } else if (arg == "--pipe-capacity") {
       config.session.pipeCapacity = number("--pipe-capacity", 1, congen::Pipe::kMaxCapacity);
-    } else if (arg == "--pipe-batch") {
-      config.session.pipeBatch = number("--pipe-batch", 1, congen::Pipe::kMaxCapacity);
     } else if (arg == "--duration") {
-      durationSec = number("--duration", 0, kMaxSeconds);
+      durationSec = number("--duration", 0, tools::kMaxSeconds);
     } else if (arg == "--stats") {
       stats = true;
     } else if (arg == "--metrics-json") {

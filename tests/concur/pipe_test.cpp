@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <thread>
 #include <utility>
 
@@ -115,9 +116,10 @@ TEST(PipeRefresh, RefreshedPipeRestartsFromScratch) {
     ++builds;
     return test::range(1, 3);
   };
-  auto pipe = Pipe::create(factory);
+  auto pipe = Pipe::create(factory, /*capacity=*/16);
   EXPECT_EQ(pipe->activate()->smallInt(), 1);
   auto fresh = rcStaticCast<Pipe>(pipe->refreshed());
+  EXPECT_EQ(fresh->queue().capacity(), 16u) << "^pipe keeps the capacity (and so the hand-off cap)";
   EXPECT_EQ(fresh->activate()->smallInt(), 1) << "^pipe starts over";
   EXPECT_GE(builds.load(), 2);
 }
@@ -221,58 +223,55 @@ TEST(PipeKernelNode, MakePipeCreateGenYieldsPipeValue) {
   EXPECT_EQ(v->coExpr()->activate()->smallInt(), 5);
 }
 
-TEST(PipeBatching, BatchCapClampsToQueueCapacity) {
-  // A batch larger than the queue could never flush in one wait cycle;
-  // the cap is clamped at construction.
-  auto pipe = Pipe::create([] { return test::range(1, 3); }, /*capacity=*/8,
-                           ThreadPool::global(), /*batchCap=*/64);
-  EXPECT_EQ(pipe->batchCap(), 8u);
-}
-
-TEST(PipeBatching, MailboxStaysUnbatched) {
-  // Capacity 1 is the future/M-var: batching must disable itself so the
-  // per-element rendezvous protocol (and its timing) is untouched.
-  auto mailbox = Pipe::create([] { return test::range(1, 3); }, /*capacity=*/1,
-                              ThreadPool::global(), /*batchCap=*/64);
-  EXPECT_EQ(mailbox->batchCap(), 1u);
+TEST(PipeBatching, MailboxStreamsInOrder) {
+  // Capacity 1 is the future/M-var: its hand-off cap is 1, so the
+  // adaptive loop publishes each value as it is produced — the
+  // rendezvous — and the stream is the plain one.
+  auto mailbox = Pipe::create([] { return test::range(1, 3); }, /*capacity=*/1);
   std::vector<std::int64_t> got;
   while (auto v = mailbox->activate()) got.push_back(v->requireInt64());
   EXPECT_EQ(got, (std::vector<std::int64_t>{1, 2, 3}));
 }
 
-TEST(PipeBatching, ExplicitBatchCapOneForcesPerElementPath) {
-  auto pipe = Pipe::create([] { return test::range(1, 50); }, /*capacity=*/8,
-                           ThreadPool::global(), /*batchCap=*/1);
-  EXPECT_EQ(pipe->batchCap(), 1u);
-  std::int64_t expect = 1;
-  while (auto v = pipe->activate()) EXPECT_EQ(v->requireInt64(), expect++);
-  EXPECT_EQ(expect, 51);
-}
-
 TEST(PipeBatching, BatchedStreamPreservesOrderAndCompleteness) {
   // Small queue + large stream: the adaptive accumulator grows and
   // shrinks across the run; the observable stream must be untouched.
-  auto pipe = Pipe::create([] { return test::range(1, 500); }, /*capacity=*/4,
-                           ThreadPool::global(), /*batchCap=*/4);
+  auto pipe = Pipe::create([] { return test::range(1, 500); }, /*capacity=*/4);
   std::int64_t expect = 1;
   while (auto v = pipe->activate()) EXPECT_EQ(v->requireInt64(), expect++);
   EXPECT_EQ(expect, 501);
   EXPECT_FALSE(pipe->activate().has_value()) << "exhausted pipe stays exhausted";
 }
 
-TEST(PipeBatching, RefreshedPipePreservesBatchCap) {
-  auto pipe = Pipe::create([] { return test::range(1, 3); }, /*capacity=*/16,
-                           ThreadPool::global(), /*batchCap=*/8);
-  ASSERT_EQ(pipe->batchCap(), 8u);
-  auto fresh = rcStaticCast<Pipe>(pipe->refreshed());
-  EXPECT_EQ(fresh->batchCap(), 8u) << "^pipe must restart with the same transport knobs";
-  EXPECT_EQ(fresh->activate()->smallInt(), 1);
+TEST(PipeBatching, ProducerRunsAtMostCapacityPlusOneAhead) {
+  // Bounded run-ahead (INTERNALS "Batched transport"): each flush goal
+  // is clamped to the ring's spare room, so before the first activate()
+  // the producer fills the ring and holds at most one more value,
+  // blocked in its flush.
+  for (const std::size_t capacity : {std::size_t{1}, std::size_t{4}}) {
+    auto produced = std::make_shared<std::atomic<std::size_t>>(0);
+    auto pipe = Pipe::create(
+        [produced]() -> GenPtr {
+          return CallbackGen::create([produced]() -> CallbackGen::Puller {
+            return [produced]() -> std::optional<Value> {
+              return Value::integer(static_cast<std::int64_t>(produced->fetch_add(1) + 1));
+            };
+          });
+        },
+        capacity);
+    while (pipe->queue().size() < capacity) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));  // room to overshoot
+    EXPECT_LE(produced->load(), capacity + 1) << "capacity " << capacity;
+    for (std::int64_t i = 1; i <= 10; ++i) EXPECT_EQ(pipe->activate()->requireInt64(), i);
+  }
 }
 
 TEST(PipeBatching, ValuesProducedBeforeAnErrorStillArriveFirst) {
-  // The per-element protocol publishes each value before the body can
-  // throw; the batched producer must match it — the buffered prefix is
-  // flushed before the error crosses the thread boundary.
+  // Every value produced before the body throws reaches the consumer
+  // first: the buffered prefix is flushed before the error crosses the
+  // thread boundary.
   auto pipe = Pipe::create(
       []() -> GenPtr {
         return CallbackGen::create([]() -> CallbackGen::Puller {
@@ -283,7 +282,7 @@ TEST(PipeBatching, ValuesProducedBeforeAnErrorStillArriveFirst) {
           };
         });
       },
-      /*capacity=*/64, ThreadPool::global(), /*batchCap=*/64);
+      /*capacity=*/64);
   std::vector<std::int64_t> got;
   try {
     while (auto v = pipe->activate()) got.push_back(v->requireInt64());

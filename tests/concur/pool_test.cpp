@@ -24,7 +24,9 @@ TEST(PoolBasics, RunsTasks) {
   ThreadPool pool;
   std::atomic<int> ran{0};
   for (int i = 0; i < 10; ++i) pool.submit([&ran] { ++ran; });
-  waitFor([&] { return ran.load() == 10; });
+  // Wait on the counter asserted below: the worker bumps it only after
+  // the task body returns, so `ran` can reach 10 first.
+  waitFor([&] { return pool.tasksCompleted() == 10; });
   EXPECT_EQ(ran.load(), 10);
   EXPECT_EQ(pool.tasksCompleted(), 10u);
 }

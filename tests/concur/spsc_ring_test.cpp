@@ -12,6 +12,7 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -25,6 +26,28 @@ using namespace std::chrono_literals;
 
 QueueDeadline after(std::chrono::milliseconds d) {
   return QueueDeadline{std::chrono::steady_clock::now() + d};
+}
+
+// One-element calls of the cancellable bulk ops, the ring's only *For
+// ops: the shape a capacity-1 pipe's hand-off takes. Each also checks
+// that only kOk moves an element.
+QueueOpStatus putOneFor(SpscRing<int>& ring, int v, const CancelToken& token,
+                        QueueDeadline deadline = {}) {
+  std::vector<int> batch{v};
+  std::size_t accepted = 0;
+  const auto status = ring.putAllFor(batch, accepted, token, deadline);
+  EXPECT_EQ(accepted, status == QueueOpStatus::kOk ? 1u : 0u);
+  return status;
+}
+
+QueueOpStatus takeOneFor(SpscRing<int>& ring, std::optional<int>& out, const CancelToken& token,
+                         QueueDeadline deadline = {}) {
+  std::vector<int> got;
+  const auto status = ring.takeUpToFor(got, 1, token, deadline);
+  EXPECT_EQ(got.size(), status == QueueOpStatus::kOk ? 1u : 0u);
+  out.reset();
+  if (!got.empty()) out = got.front();
+  return status;
 }
 
 TEST(SpscRingBasics, FifoOrderAndExhaustion) {
@@ -142,22 +165,22 @@ TEST(SpscRingTimed, TakeForExpiresOnEmpty) {
   SpscRing<int> ring(4);
   std::optional<int> out;
   const auto t0 = std::chrono::steady_clock::now();
-  EXPECT_EQ(ring.takeFor(out, CancelToken{}, after(30ms)), QueueOpStatus::kTimedOut);
+  EXPECT_EQ(takeOneFor(ring, out, CancelToken{}, after(30ms)), QueueOpStatus::kTimedOut);
   EXPECT_GE(std::chrono::steady_clock::now() - t0, 25ms);
   EXPECT_FALSE(out.has_value());
   // Expiry does not poison the ring: a later element still flows.
   ASSERT_TRUE(ring.tryPut(7));
-  EXPECT_EQ(ring.takeFor(out, CancelToken{}, after(1000ms)), QueueOpStatus::kOk);
+  EXPECT_EQ(takeOneFor(ring, out, CancelToken{}, after(1000ms)), QueueOpStatus::kOk);
   EXPECT_EQ(out, 7);
 }
 
 TEST(SpscRingTimed, PutForExpiresOnFull) {
   SpscRing<int> ring(1);
   ASSERT_TRUE(ring.tryPut(1));
-  EXPECT_EQ(ring.putFor(2, CancelToken{}, after(30ms)), QueueOpStatus::kTimedOut);
+  EXPECT_EQ(putOneFor(ring, 2, CancelToken{}, after(30ms)), QueueOpStatus::kTimedOut);
   EXPECT_EQ(ring.size(), 1u) << "a timed-out put publishes nothing";
   ASSERT_TRUE(ring.tryTake().has_value());
-  EXPECT_EQ(ring.putFor(2, CancelToken{}, after(1000ms)), QueueOpStatus::kOk);
+  EXPECT_EQ(putOneFor(ring, 2, CancelToken{}, after(1000ms)), QueueOpStatus::kOk);
 }
 
 TEST(SpscRingTimed, ElementBeatsDeadline) {
@@ -166,7 +189,7 @@ TEST(SpscRingTimed, ElementBeatsDeadline) {
   SpscRing<int> ring(4);
   ASSERT_TRUE(ring.tryPut(5));
   std::optional<int> out;
-  EXPECT_EQ(ring.takeFor(out, CancelToken{}, after(-10ms)), QueueOpStatus::kOk);
+  EXPECT_EQ(takeOneFor(ring, out, CancelToken{}, after(-10ms)), QueueOpStatus::kOk);
   EXPECT_EQ(out, 5);
 }
 
@@ -178,16 +201,16 @@ TEST(SpscRingCancel, CancelledBeatsEverything) {
   StopSource source;
   source.requestStop();
   std::optional<int> out;
-  EXPECT_EQ(ring.takeFor(out, source.token(), {}), QueueOpStatus::kCancelled);
+  EXPECT_EQ(takeOneFor(ring, out, source.token(), {}), QueueOpStatus::kCancelled);
   EXPECT_FALSE(out.has_value());
-  EXPECT_EQ(ring.putFor(9, source.token(), {}), QueueOpStatus::kCancelled);
+  EXPECT_EQ(putOneFor(ring, 9, source.token(), {}), QueueOpStatus::kCancelled);
 }
 
 TEST(SpscRingCancel, ClosedBeatsTimedOut) {
   SpscRing<int> ring(4);
   ring.close();
   std::optional<int> out;
-  EXPECT_EQ(ring.takeFor(out, CancelToken{}, after(-10ms)), QueueOpStatus::kClosed);
+  EXPECT_EQ(takeOneFor(ring, out, CancelToken{}, after(-10ms)), QueueOpStatus::kClosed);
 }
 
 TEST(SpscRingCancel, CancelUnparksABlockedConsumer) {
@@ -200,7 +223,7 @@ TEST(SpscRingCancel, CancelUnparksABlockedConsumer) {
     std::atomic<bool> done{false};
     std::thread consumer([&] {
       std::optional<int> out;
-      EXPECT_EQ(ring.takeFor(out, source.token(), {}), QueueOpStatus::kCancelled);
+      EXPECT_EQ(takeOneFor(ring, out, source.token(), {}), QueueOpStatus::kCancelled);
       done = true;
     });
     if (round % 2 == 0) std::this_thread::sleep_for(1ms);  // likely parked
@@ -216,7 +239,7 @@ TEST(SpscRingCancel, CancelUnparksABlockedProducer) {
     ASSERT_TRUE(ring.tryPut(0));
     StopSource source;
     std::thread producer([&] {
-      EXPECT_EQ(ring.putFor(1, source.token(), {}), QueueOpStatus::kCancelled);
+      EXPECT_EQ(putOneFor(ring, 1, source.token(), {}), QueueOpStatus::kCancelled);
     });
     if (round % 2 == 0) std::this_thread::sleep_for(1ms);
     source.requestStop();
@@ -562,31 +585,31 @@ TEST(QueueSingleSlot, ActsAsMailbox) {
 }
 
 // ---------------------------------------------------------------------
-// Cancellable / deadline-bounded ops (the *For family)
+// Cancellable / deadline-bounded ops (putAllFor / takeUpToFor)
 // ---------------------------------------------------------------------
 
 TEST(QueueFor, FastPathsMatchPlainOperations) {
   SpscRing<int> q(4);
   StopSource s;
   const auto t = s.token();
-  EXPECT_EQ(q.putFor(1, t), QueueOpStatus::kOk);
+  EXPECT_EQ(putOneFor(q, 1, t), QueueOpStatus::kOk);
   std::optional<int> out;
-  EXPECT_EQ(q.takeFor(out, t), QueueOpStatus::kOk);
+  EXPECT_EQ(takeOneFor(q, out, t), QueueOpStatus::kOk);
   EXPECT_EQ(out, 1);
   q.close();
-  EXPECT_EQ(q.putFor(2, t), QueueOpStatus::kClosed);
-  EXPECT_EQ(q.takeFor(out, t), QueueOpStatus::kClosed);
+  EXPECT_EQ(putOneFor(q, 2, t), QueueOpStatus::kClosed);
+  EXPECT_EQ(takeOneFor(q, out, t), QueueOpStatus::kClosed);
   EXPECT_FALSE(out.has_value());
 }
 
 TEST(QueueFor, DeadlineExpiryReturnsTimedOut) {
   SpscRing<int> q(1);
   StopSource s;
-  EXPECT_EQ(q.putFor(1, s.token()), QueueOpStatus::kOk);
-  EXPECT_EQ(q.putFor(2, s.token(), after(30ms)), QueueOpStatus::kTimedOut) << "ring full";
+  EXPECT_EQ(putOneFor(q, 1, s.token()), QueueOpStatus::kOk);
+  EXPECT_EQ(putOneFor(q, 2, s.token(), after(30ms)), QueueOpStatus::kTimedOut) << "ring full";
   std::optional<int> out;
-  EXPECT_EQ(q.takeFor(out, s.token()), QueueOpStatus::kOk);
-  EXPECT_EQ(q.takeFor(out, s.token(), after(30ms)), QueueOpStatus::kTimedOut) << "ring empty";
+  EXPECT_EQ(takeOneFor(q, out, s.token()), QueueOpStatus::kOk);
+  EXPECT_EQ(takeOneFor(q, out, s.token(), after(30ms)), QueueOpStatus::kTimedOut) << "ring empty";
   std::vector<int> batch;
   EXPECT_EQ(q.takeUpToFor(batch, 8, s.token(), after(30ms)), QueueOpStatus::kTimedOut);
 }
@@ -594,10 +617,10 @@ TEST(QueueFor, DeadlineExpiryReturnsTimedOut) {
 TEST(QueueFor, CancelWakesBlockedPutWithinOneOperation) {
   SpscRing<int> q(1);
   StopSource s;
-  ASSERT_EQ(q.putFor(1, s.token()), QueueOpStatus::kOk);  // now full
+  ASSERT_EQ(putOneFor(q, 1, s.token()), QueueOpStatus::kOk);  // now full
   std::atomic<bool> returned{false};
   std::thread producer([&] {
-    EXPECT_EQ(q.putFor(2, s.token()), QueueOpStatus::kCancelled);
+    EXPECT_EQ(putOneFor(q, 2, s.token()), QueueOpStatus::kCancelled);
     returned = true;
   });
   std::this_thread::sleep_for(20ms);  // let it block
@@ -613,7 +636,7 @@ TEST(QueueFor, CancelWakesBlockedTake) {
   StopSource s;
   std::thread consumer([&] {
     std::optional<int> out;
-    EXPECT_EQ(q.takeFor(out, s.token()), QueueOpStatus::kCancelled);
+    EXPECT_EQ(takeOneFor(q, out, s.token()), QueueOpStatus::kCancelled);
     EXPECT_FALSE(out.has_value());
   });
   std::this_thread::sleep_for(20ms);
@@ -626,10 +649,10 @@ TEST(QueueFor, CancelledTakeSkipsBufferedElements) {
   // abandonment — a cancelled consumer must not consume.
   SpscRing<int> q(4);
   StopSource s;
-  ASSERT_EQ(q.putFor(7, s.token()), QueueOpStatus::kOk);
+  ASSERT_EQ(putOneFor(q, 7, s.token()), QueueOpStatus::kOk);
   s.requestStop();
   std::optional<int> out;
-  EXPECT_EQ(q.takeFor(out, s.token()), QueueOpStatus::kCancelled);
+  EXPECT_EQ(takeOneFor(q, out, s.token()), QueueOpStatus::kCancelled);
   EXPECT_FALSE(out.has_value());
   std::vector<int> batch;
   EXPECT_EQ(q.takeUpToFor(batch, 4, s.token()), QueueOpStatus::kCancelled);
@@ -640,13 +663,13 @@ TEST(QueueFor, CancelledTakeSkipsBufferedElements) {
 TEST(QueueFor, ClosedQueueStillDrains) {
   SpscRing<int> q(4);
   StopSource s;
-  ASSERT_EQ(q.putFor(7, s.token()), QueueOpStatus::kOk);
+  ASSERT_EQ(putOneFor(q, 7, s.token()), QueueOpStatus::kOk);
   q.close();
   std::optional<int> out;
-  EXPECT_EQ(q.takeFor(out, s.token()), QueueOpStatus::kOk)
+  EXPECT_EQ(takeOneFor(q, out, s.token()), QueueOpStatus::kOk)
       << "close is end-of-stream, not abandonment";
   EXPECT_EQ(out, 7);
-  EXPECT_EQ(q.takeFor(out, s.token()), QueueOpStatus::kClosed);
+  EXPECT_EQ(takeOneFor(q, out, s.token()), QueueOpStatus::kClosed);
 }
 
 TEST(QueueFor, PutAllForReportsAcceptedPrefixOnCancel) {
@@ -667,8 +690,8 @@ TEST(QueueFor, PutAllForReportsAcceptedPrefixOnCancel) {
 
 TEST(QueueFor, DetachedTokenWorksWithDeadlines) {
   SpscRing<int> q(1);
-  ASSERT_EQ(q.putFor(1, CancelToken{}), QueueOpStatus::kOk);
-  EXPECT_EQ(q.putFor(2, CancelToken{}, after(30ms)), QueueOpStatus::kTimedOut);
+  ASSERT_EQ(putOneFor(q, 1, CancelToken{}), QueueOpStatus::kOk);
+  EXPECT_EQ(putOneFor(q, 2, CancelToken{}, after(30ms)), QueueOpStatus::kTimedOut);
 }
 
 }  // namespace

@@ -51,12 +51,17 @@ TEST(CancelStress, CancelRacesBlockedPut) {
   for (int i = 0; i < rounds; ++i) {
     SpscRing<int> q(1);
     StopSource s;
-    ASSERT_EQ(q.putFor(0, s.token()), QueueOpStatus::kOk);  // full
+    std::size_t accepted = 0;
+    std::vector<int> first{0};
+    ASSERT_EQ(q.putAllFor(first, accepted, s.token()), QueueOpStatus::kOk);  // full
     std::atomic<int> done{0};
     std::thread producer([&] {
       // Blocked put racing the cancel below: the only acceptable
       // outcomes are kCancelled (cancel won) — never a hang.
-      EXPECT_EQ(q.putFor(1, s.token()), QueueOpStatus::kCancelled);
+      std::vector<int> second{1};
+      std::size_t published = 0;
+      EXPECT_EQ(q.putAllFor(second, published, s.token()), QueueOpStatus::kCancelled);
+      EXPECT_EQ(published, 0u);
       ++done;
     });
     if (i % 2 == 0) std::this_thread::yield();
@@ -79,7 +84,9 @@ TEST(CancelStress, CancelRacesTakeUpTo) {
     // must abandon them (kCancelled beats element transfer).
     const bool buffered = i % 2 == 0;
     if (buffered) {
-      ASSERT_EQ(q.putFor(7, CancelToken{}), QueueOpStatus::kOk);
+      std::vector<int> seven{7};
+      std::size_t accepted = 0;
+      ASSERT_EQ(q.putAllFor(seven, accepted, CancelToken{}), QueueOpStatus::kOk);
     }
     std::thread consumer([&] {
       std::vector<int> out;
@@ -110,8 +117,8 @@ TEST(CancelStress, DeadlineExpiryRacesBatchFlush) {
   for (int r = 0; r < rounds; ++r) {
     ThreadPool pool;
     constexpr std::int64_t kCount = 300;
-    auto pipe = Pipe::create([] { return test::range(1, kCount); },
-                             /*capacity=*/8, pool, /*batchCap=*/4);
+    // Capacity 4 gives a hand-off cap of 4: flushes of up to 4 values.
+    auto pipe = Pipe::create([] { return test::range(1, kCount); }, /*capacity=*/4, pool);
     std::int64_t expect = 1;
     int timeouts = 0;
     while (expect <= kCount) {
@@ -141,16 +148,16 @@ TEST(CancelStress, FourStageChainCancelUnderJitter) {
         return [i]() mutable -> std::optional<Value> { return Value::integer(++i); };
       });
     };
-    auto p1 = Pipe::create(infinite, 2, pool, 1);
+    auto p1 = Pipe::create(infinite, 2, pool);
     auto p2 = Pipe::create(
         [p1]() -> GenPtr { return PromoteGen::create(ConstGen::create(Value::coexpr(p1))); }, 2,
-        pool, 1);
+        pool);
     auto p3 = Pipe::create(
         [p2]() -> GenPtr { return PromoteGen::create(ConstGen::create(Value::coexpr(p2))); }, 2,
-        pool, 1);
+        pool);
     auto p4 = Pipe::create(
         [p3]() -> GenPtr { return PromoteGen::create(ConstGen::create(Value::coexpr(p3))); }, 2,
-        pool, 1);
+        pool);
     p1->cancelWith(p2->cancelToken());
     p2->cancelWith(p3->cancelToken());
     p3->cancelWith(p4->cancelToken());
@@ -177,14 +184,16 @@ TEST(CancelStress, NewFaultSitesAreHit) {
   StopSource s;
   std::thread producer([&] {
     for (int i = 0; i < 8; ++i) {
-      if (q.putFor(i, s.token()) != QueueOpStatus::kOk) return;
+      std::vector<int> one{i};
+      std::size_t accepted = 0;
+      if (q.putAllFor(one, accepted, s.token()) != QueueOpStatus::kOk) return;
     }
   });
   std::this_thread::sleep_for(10ms);
   s.requestStop();
   producer.join();
   auto& inj = FaultInjector::instance();
-  EXPECT_GT(inj.hits(FaultSite::QueueTimedWait), 0u) << "putFor hit the timed-wait site";
+  EXPECT_GT(inj.hits(FaultSite::QueueTimedWait), 0u) << "putAllFor hit the timed-wait site";
   EXPECT_GT(inj.hits(FaultSite::CancelSignal), 0u) << "requestStop hit the cancel site";
 }
 
@@ -204,7 +213,8 @@ TEST(CancelStress, MapReduceSurvivesChunkKillsViaRetry) {
       "square", [](std::vector<Value>& a) { return ops::mul(a.at(0), a.at(0)); });
   auto add = builtins::makeNative(
       "add", [](std::vector<Value>& a) { return ops::add(a.at(0), a.at(1)); });
-  DataParallel dp(3, /*pipeCapacity=*/4, ThreadPool::global(), /*pipeBatch=*/2);
+  // Capacity 2 gives each chunk pipe a hand-off cap of 2.
+  DataParallel dp(3, /*pipeCapacity=*/2);
   dp.withRetry(/*maxRetries=*/64, /*backoffBaseMicros=*/1);
   auto gen = dp.mapReduce(square, [] { return test::range(1, 30); }, add, Value::integer(0));
   std::vector<std::int64_t> got;
@@ -234,7 +244,7 @@ TEST(CancelStress, RetryBudgetExhaustionSurfacesOneTypedError) {
 
   auto identity =
       builtins::makeNative("id", [](std::vector<Value>& a) -> std::optional<Value> { return a.at(0); });
-  DataParallel dp(4, 4, ThreadPool::global(), 1);
+  DataParallel dp(4, /*pipeCapacity=*/1);  // hand-off cap 1: one value per flush
   dp.withRetry(3, 1);
   auto gen = dp.mapFlat(identity, [] { return test::range(1, 8); });
   try {

@@ -62,18 +62,24 @@ TEST(FaultInjectorStress, HitCountersCoverAllInstrumentedSites) {
   REQUIRE_FAULT_HOOKS();
   ScopedFaultInjection arm(stress::seed(), SitePolicy{});  // observe only
   ThreadPool pool;
+  auto& inj = FaultInjector::instance();
   {
-    // Capacity 1 forces the unbatched per-element protocol (put/take)...
+    // The scalar ops belong to raw rings (the native pipeline's put/take)...
+    SpscRing<int> ring(1);
+    ASSERT_TRUE(ring.put(1));
+    ASSERT_TRUE(ring.take().has_value());
+    // ...while every pipe runs the batched hand-off (putAll/takeUpTo). A
+    // capacity-1 mailbox has hand-off cap 1: each of its 5 values is a
+    // flush of its own, published before the consumer can take it.
     auto mailbox = Pipe::create([] { return test::range(1, 5); }, /*capacity=*/1, pool);
     while (mailbox->activate()) {
     }
-    // ...and a roomier pipe runs the batched one (putAll/takeUpTo).
+    EXPECT_GE(inj.hits(FaultSite::PipeBatchFlush), 5u) << "one flush per mailbox value";
     auto batched = Pipe::create([] { return test::range(1, 50); }, /*capacity=*/8, pool);
     while (batched->activate()) {
     }
   }
   ASSERT_TRUE(eventually([&] { return pool.tasksCompleted() == 2u; }));
-  auto& inj = FaultInjector::instance();
   EXPECT_GT(inj.hits(FaultSite::QueuePut), 0u);
   EXPECT_GT(inj.hits(FaultSite::QueueTake), 0u);
   EXPECT_GT(inj.hits(FaultSite::QueuePutAll), 0u);
@@ -179,8 +185,7 @@ TEST(FaultStress, BulkOpsConserveUnderBatchBoundaryDelays) {
   }
   ThreadPool pool;
   const int kElems = 300 * stress::scale();
-  auto pipe = Pipe::create([kElems] { return test::range(1, kElems); },
-                           /*capacity=*/4, pool, /*batchCap=*/4);
+  auto pipe = Pipe::create([kElems] { return test::range(1, kElems); }, /*capacity=*/4, pool);
   std::int64_t expect = 1;
   while (auto v = pipe->activate()) EXPECT_EQ(v->requireInt64(), expect++);
   EXPECT_EQ(expect, kElems + 1) << "an element was lost at a delayed batch boundary";
@@ -233,8 +238,7 @@ TEST(FaultStress, BatchedPipeFlushFailureDeliversAPrefixThenTheError) {
   bool sawError = false;
   std::int64_t expect = 1;
   {
-    auto pipe = Pipe::create([] { return test::range(1, 500); },
-                             /*capacity=*/4, pool, /*batchCap=*/4);
+    auto pipe = Pipe::create([] { return test::range(1, 500); }, /*capacity=*/4, pool);
     try {
       while (auto v = pipe->activate()) EXPECT_EQ(v->requireInt64(), expect++);
     } catch (const InjectedFault&) {

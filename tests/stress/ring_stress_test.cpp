@@ -101,8 +101,8 @@ TEST(SpscRingStress, CancelVsParkRace) {
     StopSource source;
     std::atomic<int> status{-1};
     std::thread consumer([&] {
-      std::optional<std::int64_t> out;
-      status = static_cast<int>(ring.takeFor(out, source.token(), {}));
+      std::vector<std::int64_t> out;
+      status = static_cast<int>(ring.takeUpToFor(out, 1, source.token(), {}));
     });
     // Vary the cancel's timing across rounds to sample interleavings on
     // both sides of the park.
@@ -121,8 +121,11 @@ TEST(SpscRingStress, CancelVsParkRaceProducerSide) {
     ASSERT_TRUE(ring.tryPut(0));
     StopSource source;
     std::atomic<int> status{-1};
-    std::thread producer(
-        [&] { status = static_cast<int>(ring.putFor(1, source.token(), {})); });
+    std::thread producer([&] {
+      std::vector<std::int64_t> one{1};
+      std::size_t accepted = 0;
+      status = static_cast<int>(ring.putAllFor(one, accepted, source.token(), {}));
+    });
     if (r % 3 == 1) std::this_thread::yield();
     if (r % 3 == 2) std::this_thread::sleep_for(std::chrono::microseconds(200));
     source.requestStop();
@@ -167,25 +170,29 @@ TEST(SpscRingStress, TimedOpsUnderLoad) {
   std::thread producer([&] {
     std::int64_t next = 0;
     while (next < items) {
-      const auto status = ring.putFor(
-          next, CancelToken{},
+      std::vector<std::int64_t> one{next};
+      std::size_t accepted = 0;
+      const auto status = ring.putAllFor(
+          one, accepted, CancelToken{},
           QueueDeadline{std::chrono::steady_clock::now() + std::chrono::microseconds(200)});
       if (status == QueueOpStatus::kOk) {
         ++next;
       } else {
         ASSERT_EQ(status, QueueOpStatus::kTimedOut);
+        ASSERT_EQ(accepted, 0u) << "a timed-out put published";
       }
     }
     ring.close();
   });
   std::int64_t expect = 0;
   for (;;) {
-    std::optional<std::int64_t> out;
-    const auto status = ring.takeFor(
-        out, CancelToken{},
+    std::vector<std::int64_t> out;
+    const auto status = ring.takeUpToFor(
+        out, 1, CancelToken{},
         QueueDeadline{std::chrono::steady_clock::now() + std::chrono::microseconds(300)});
     if (status == QueueOpStatus::kOk) {
-      EXPECT_EQ(*out, expect++);
+      ASSERT_EQ(out.size(), 1u);
+      EXPECT_EQ(out.front(), expect++);
     } else if (status == QueueOpStatus::kClosed) {
       break;
     } else {

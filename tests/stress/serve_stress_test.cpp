@@ -121,9 +121,9 @@ Server::Config stressConfig() {
   Server::Config config;
   config.port = 0;
   // Small pipes make producers park early — the interesting regime for
-  // disconnect-vs-parked-queue-op races.
-  config.session.pipeCapacity = 8;
-  config.session.pipeBatch = 4;
+  // disconnect-vs-parked-queue-op races. Capacity 4 also caps each
+  // hand-off at 4 values.
+  config.session.pipeCapacity = 4;
   return config;
 }
 

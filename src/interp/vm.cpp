@@ -89,8 +89,7 @@ void VmGen::doRestart() {
   steps_ = 0;
   fuelSyncBase_ = 0;
   stepLimitTrip_ = kFuelSyncInterval;
-  phase_ = Phase::Start;
-  for (auto& g : escapes_) g->restart();
+  phase_ = Phase::Start;  // kEscape restarts its escape before each drive
   // Inline caches deliberately survive restarts: the scope-version check
   // keeps them correct, and pooled activations reuse the warm entries.
 }

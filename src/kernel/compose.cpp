@@ -58,8 +58,7 @@ bool ProductGen::doNext(Result& out) {
 
 void ProductGen::doRestart() {
   leftActive_ = false;
-  left_->restart();
-  right_->restart();
+  left_->restart();  // right_ is restarted per left result
 }
 
 // ---------------------------------------------------------------------

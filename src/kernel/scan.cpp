@@ -79,8 +79,7 @@ bool ScanGen::doNext(Result& out) {
 void ScanGen::doRestart() {
   scanning_ = false;
   saved_ = ScanEnv::State{};
-  subject_->restart();
-  body_->restart();
+  subject_->restart();  // body_ is restarted per subject
 }
 
 // ---------------------------------------------------------------------
@@ -91,7 +90,8 @@ namespace {
 
 /// The reversible position move shared by tab and move: first next()
 /// performs the move and yields the spanned substring; the following
-/// next() (a resumption during backtracking) undoes it and fails.
+/// next() (a resumption during backtracking) undoes it and fails. A
+/// restart keeps the move (a bounded tab/move is never resumed).
 class TabStepGen final : public Gen {
  public:
   explicit TabStepGen(std::int64_t rawTarget) : rawTarget_(rawTarget) {}
@@ -115,12 +115,7 @@ class TabStepGen final : public Gen {
                                                    static_cast<std::size_t>(hi - lo))));
     return true;
   }
-  void doRestart() override {
-    if (moved_) {
-      ScanEnv::current().pos = savedPos_;
-      moved_ = false;
-    }
-  }
+  void doRestart() override { moved_ = false; }
 
  private:
   std::int64_t rawTarget_;

@@ -8,6 +8,7 @@
 //   congen-run <script.jn> [args...]    run a script (calls main(args))
 //   congen-run -e "<expr>"              evaluate one expression
 //   congen-run -i                       interactive REPL
+//   (options go first: an argument after -e "<expr>" or -i exits 2)
 //   congen-run --trace ...              print iterator-protocol events
 //                                       (the paper's future-work
 //                                       monitoring, Section IX)
@@ -150,11 +151,18 @@ void emitObservability(const ObsOptions& obs) {
 }
 
 int run(int argc, char** argv, congen::interp::Interpreter& interp) {
-  if (argc >= 3 && std::string(argv[1]) == "-e") {
+  const std::string mode = argc >= 2 ? argv[1] : "";
+  if ((mode == "-e" && argc >= 3) || mode == "-i") {
+    const int used = mode == "-e" ? 3 : 2;
+    if (argc > used) {
+      std::cerr << "congen-run: unexpected argument '" << argv[used] << "' after " << mode
+                << "\n";
+      return 2;
+    }
+    if (mode == "-i") return repl(interp);
     printResults(interp.eval(argv[2]), kReplResultLimit);
     return 0;
   }
-  if (argc >= 2 && std::string(argv[1]) == "-i") return repl(interp);
   if (argc >= 2) {
     std::ifstream in(argv[1]);
     if (!in) {

@@ -24,6 +24,7 @@
 #include "conf_nqueens.hpp"
 #include "conf_quota.hpp"
 #include "conf_retry.hpp"
+#include "conf_reversible.hpp"
 #include "conf_timeout.hpp"
 #include "conf_wordcount.hpp"
 #include "conf_wordfreq.hpp"
@@ -91,6 +92,16 @@ TEST(ConformanceScripts, Mapreduce) { expectScriptConformance<Conf_mapreduce>("m
 TEST(ConformanceScripts, Nqueens) { expectScriptConformance<Conf_nqueens>("nqueens"); }
 TEST(ConformanceScripts, Quota) { expectScriptConformance<Conf_quota>("quota"); }
 TEST(ConformanceScripts, Retry) { expectScriptConformance<Conf_retry>("retry"); }
+TEST(ConformanceScripts, Reversible) {
+  expectScriptConformance<Conf_reversible>("reversible");
+  // Icon's output: reversible effects are undone on resumption only.
+  EXPECT_EQ(interpMainOutput(kRoot + "/examples/scripts/reversible.jn", interp::Backend::kTree),
+            "1\n2\n3\n4\nwhile: 3\nconj: 6\nconj: 7\nafter conj: 1\n"
+            "suspend: 1\nsuspend: 1\nsuspend: 1\nafter suspend: 0\n"
+            "bounded call: 1\nafter bounded call: 1\nswap: ba\nswap undone: ba\n"
+            "moved to 5\nat 3\nat 5\nat 7\ntab undone: 1\n"
+            "step: a 2\nafter step: 1\nbounded step: a 2\n");
+}
 TEST(ConformanceScripts, Timeout) { expectScriptConformance<Conf_timeout>("timeout"); }
 TEST(ConformanceScripts, Wordcount) { expectScriptConformance<Conf_wordcount>("wordcount"); }
 TEST(ConformanceScripts, Wordfreq) { expectScriptConformance<Conf_wordfreq>("wordfreq"); }
@@ -106,7 +117,7 @@ TEST(ConformanceCorpus, CoversEveryShippedExample) {
     if (e.path().extension() == ".ccg") embedded.insert(e.path().stem().string());
   }
   EXPECT_EQ(scripts, (std::set<std::string>{"errors", "mapreduce", "nqueens", "quota", "retry",
-                                            "timeout", "wordcount", "wordfreq"}))
+                                            "reversible", "timeout", "wordcount", "wordfreq"}))
       << "new script: add it to tests/conformance";
   EXPECT_EQ(embedded, (std::set<std::string>{"logstats_embedded", "wordcount_embedded"}))
       << "new embedded example: add it to tests/conformance";

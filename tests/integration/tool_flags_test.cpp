@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
 #include <string>
 
 namespace {
@@ -92,6 +93,36 @@ TEST(RunFlags, AcceptsWellFormedValues) {
                          "-e 'write(\"ran\")'");
   EXPECT_EQ(r.exitCode, 0) << r.output;
   EXPECT_NE(r.output.find("ran"), std::string::npos) << r.output;
+}
+
+TEST(RunFlags, RejectsArgumentsAfterExpressionOrRepl) {
+  // Options go before -e/-i: anything after them exits 2 naming the
+  // first stray argument, before the expression runs or the REPL reads.
+  const char* const bad[][2] = {
+      {"-e 'write(\"ran\")' --timeout 1x", "--timeout"},
+      {"-e 'write(\"ran\")' --timeout 30", "--timeout"},
+      {"-e 'write(\"ran\")' extra more", "extra"},
+      {"-i stray < /dev/null", "stray"},
+  };
+  for (const auto& [args, stray] : bad) {
+    const auto r = runTool(CONGEN_RUN_BIN, args);
+    EXPECT_EQ(r.exitCode, 2) << args << ": " << r.output;
+    EXPECT_NE(r.output.find(std::string("unexpected argument '") + stray + "'"), std::string::npos)
+        << args << ": " << r.output;
+    EXPECT_EQ(r.output.find("ran"), std::string::npos) << args << " ran the expression";
+  }
+}
+
+TEST(RunFlags, ArgumentsAfterScriptAreMainArgs) {
+  const std::string script = ::testing::TempDir() + "run_flags_main_args.jn";
+  {
+    std::ofstream out(script);
+    out << "def main(args) { write(*args, \" \", args[1], \" \", args[2]); }\n";
+  }
+  const auto r = runTool(CONGEN_RUN_BIN, "'" + script + "' --timeout 1x");
+  EXPECT_EQ(r.exitCode, 0) << r.output;
+  EXPECT_NE(r.output.find("2 --timeout 1x"), std::string::npos) << r.output;
+  std::remove(script.c_str());
 }
 
 TEST(LoadgenFlags, RejectsMalformedAndOutOfRangeValues) {

@@ -4,8 +4,9 @@
 // two backends have genuinely separate implementations — suspend/resume
 // through procedure calls, goal-directed failure propagation,
 // alternation/limit/repeated-alternation, `every` loops with
-// break/next, co-expressions (`create`/`@`/`^`), pipes (`|>`), and
-// &error conversion — and both backends must agree byte-for-byte on
+// break/next, co-expressions (`create`/`@`/`^`), pipes (`|>`), the
+// reversible `<-`/`<->` (bounded and resumed), and &error conversion —
+// and both backends must agree byte-for-byte on
 // stdout, on the drained result count, and on the terminating run-time
 // error (if any). Every failure message carries the seed and the full
 // program text, so any divergence reproduces deterministically.
@@ -14,6 +15,7 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "interp/interpreter.hpp"
@@ -104,7 +106,7 @@ class ProgramGen {
   }
 
   std::string stmt() {
-    switch (irand(0, 9)) {
+    switch (irand(0, 11)) {
       case 0:
         return "every v := " + seq(0) + " do write(v + " + lit() + ")";
       case 1:
@@ -131,6 +133,19 @@ class ProgramGen {
         // A pipe producer drained through promotion, then &error
         // conversion of a coercion fault into failure.
         return "every write(! (|> " + seq(0) + "))";
+      case 9:
+        // Reversible assignment: bounded in a loop body and as a while
+        // body (the assignment stands), resumed in a conjunction (undone).
+        return "v := " + lit() + "; every 1 to " + posLit() + " do { write(v); (v <- v + " +
+               lit() + ") }; w := 0; while w < " + posLit() +
+               " do (w <- w + 1); every write((v <- " + seq(0) + ") & v > " + lit() +
+               " & v); write(v, \" \", w)";
+      case 10:
+        // Reversible exchange: bounded in a loop body (stands), resumed
+        // in a conjunction (undone).
+        return "v := " + lit() + "; w := " + lit() + "; every 1 to " + posLit() +
+               " do (v <-> w); write(v, \",\", w); ((v <-> w) & v > " + lit() +
+               " & write(v)) | write(v, \";\", w)";
       default:
         return "&error := 2; every write((" + expr(0) +
                " + \"x\") | \"converted\"); write(&errornumber | \"noerr\")";
@@ -141,13 +156,17 @@ class ProgramGen {
     callLimit_ = i;
     std::ostringstream os;
     os << "procedure p" << i << "(a, b)\n  local i\n";
-    switch (irand(0, 2)) {
+    switch (irand(0, 3)) {
       case 0:
         os << "  every i := " << seq(1) << " do suspend i + a\n";
         os << "  if a < b then return a + b\n  fail\n";
         break;
       case 1:
         os << "  suspend " << seq(1) << "\n  suspend b\n";
+        break;
+      case 2:
+        // Each suspended assignment is undone when the caller resumes.
+        os << "  every i := " << seq(1) << " do suspend (a <- a + i)\n  return a\n";
         break;
       default:
         os << "  if a > b then fail\n  return " << expr(1) << "\n";
@@ -220,6 +239,30 @@ TEST_P(VmDifferential, TreeAndVmAgree) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Shards, VmDifferential, ::testing::Range<std::uint64_t>(0, 10));
+
+/// Reversible effects are undone on resumption only, so a bounded `<-`,
+/// `<->`, tab or move keeps its effect. Both backends print Icon's output.
+TEST(ReversibleEffects, BothBackendsPrintIconOutput) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"x := 1; every (1 to 3) do { write(x); (x <- x + 1); }; write(x)", "1\n2\n3\n4\n"},
+      {"x := 0; while (x < 3) do (x <- x + 1); write(x)", "3\n"},
+      {"x := 1; every write((x <- (5 | 6)) & x > 5 & x); write(x)", "6\n1\n"},
+      {"x := 1; y := 2; every (1 to 3) do (x <-> y); write(x, y)", "21\n"},
+      {"x := 1; y := 2; ((x <-> y) & x > 5) | write(x, y)", "12\n"},
+      {"\"abcdef\" ? { every (1 to 2) do move(2); write(&pos) }", "5\n"},
+      {"\"abcdef\" ? { (tab(4) & move(10)) | write(&pos) }", "1\n"},
+  };
+  for (const auto& [body, expected] : cases) {
+    const std::string src =
+        std::string("procedure main(args)\n  local x, y\n  ") + body + "\nend\n";
+    SCOPED_TRACE(src);
+    for (const Backend backend : {Backend::kTree, Backend::kVm}) {
+      const Outcome r = runProgram(src, backend);
+      EXPECT_EQ(r.out, expected) << (backend == Backend::kVm ? "vm" : "tree");
+      EXPECT_EQ(r.errNumber, 0);
+    }
+  }
+}
 
 }  // namespace
 }  // namespace congen::interp

@@ -151,12 +151,37 @@ TEST(RevAssignTest, SurvivingAssignmentPersists) {
   EXPECT_EQ(x->get().smallInt(), 9) << "no backtracking: the assignment stands";
 }
 
-TEST(RevAssignTest, RestartRestores) {
+// Reversible effects are undone when the node is resumed, never when it
+// is restarted: a bounded `<-` is restarted, not resumed, so it stands.
+TEST(RevAssignTest, RestartKeepsAssignment) {
+  auto x = CellVar::create(Value::integer(1));
+  auto g = makeRevAssignGen(VarGen::create(x), makeBinaryOpGen("+", VarGen::create(x), ci(1)));
+  ASSERT_TRUE(g->nextValue().has_value());
+  g->restart();
+  EXPECT_EQ(x->get().smallInt(), 2) << "restart does not undo";
+  ASSERT_TRUE(g->nextValue().has_value());
+  EXPECT_EQ(x->get().smallInt(), 3) << "the new cycle starts from the kept value";
+}
+
+TEST(RevAssignTest, ResumptionRestores) {
   auto x = CellVar::create(Value::integer(1));
   auto g = makeRevAssignGen(VarGen::create(x), ci(9));
-  g->nextValue();
+  ASSERT_TRUE(g->nextValue().has_value());
+  EXPECT_FALSE(g->nextValue().has_value());
+  EXPECT_EQ(x->get().smallInt(), 1) << "resumption undoes";
+}
+
+TEST(RevSwapTest, RestartKeepsExchange) {
+  auto a = CellVar::create(Value::integer(1));
+  auto b = CellVar::create(Value::integer(2));
+  auto g = makeRevSwapGen(VarGen::create(a), VarGen::create(b));
+  ASSERT_TRUE(g->nextValue().has_value());
   g->restart();
-  EXPECT_EQ(x->get().smallInt(), 1);
+  EXPECT_EQ(a->get().smallInt(), 2) << "restart does not undo";
+  EXPECT_EQ(b->get().smallInt(), 1);
+  ASSERT_TRUE(g->nextValue().has_value());
+  EXPECT_EQ(a->get().smallInt(), 1) << "the new cycle exchanges again";
+  EXPECT_EQ(b->get().smallInt(), 2);
 }
 
 TEST(RevSwapTest, ExchangeAndUndo) {

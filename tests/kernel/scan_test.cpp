@@ -59,6 +59,18 @@ TEST(ScanGenTest, TabIsReversibleOnBacktracking) {
   EXPECT_FALSE(g->nextValue().has_value());
 }
 
+TEST(ScanGenTest, TabRestartKeepsTheMoveAndResumptionUndoesIt) {
+  ScanEnv::push(ScanEnv::State{Value::string("abcd"), 1});
+  auto m = makeMoveGen(ci(1));
+  EXPECT_EQ(m->nextValue()->str(), "a");
+  m->restart();
+  EXPECT_EQ(ScanEnv::current().pos, 2) << "restart does not undo";
+  EXPECT_EQ(m->nextValue()->str(), "b") << "the new cycle moves on from the kept position";
+  EXPECT_FALSE(m->nextValue().has_value());
+  EXPECT_EQ(ScanEnv::current().pos, 2) << "resumption undoes";
+  ScanEnv::pop();
+}
+
 TEST(ScanGenTest, MoveIsRelative) {
   // "hello" ? (tab(3) || move(2)) — "he" then "ll".
   auto g = ScanGen::create(

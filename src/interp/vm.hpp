@@ -50,6 +50,9 @@ class VmGen final : public Gen {
  protected:
   bool doNext(Result& out) override;
   void doRestart() override;
+  void forEachChild(Visit fn) override {
+    for (auto& g : escapes_) fn(*g);
+  }
 
  private:
   struct Entry {

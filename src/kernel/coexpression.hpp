@@ -139,6 +139,7 @@ class ActivateGen final : public Gen {
   // fires. The activated co-expression itself keeps its position — only
   // the operand expression is re-evaluated.
   void doRestart() override { operand_->restart(); }
+  void forEachChild(Visit fn) override { fn(*operand_); }
 
  private:
   GenPtr operand_;
@@ -155,6 +156,7 @@ class RefreshGen final : public Gen {
  protected:
   bool doNext(Result& out) override;
   void doRestart() override { operand_->restart(); }
+  void forEachChild(Visit fn) override { fn(*operand_); }
 
  private:
   GenPtr operand_;

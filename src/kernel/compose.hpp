@@ -35,6 +35,9 @@ class SeqGen final : public Gen {
  protected:
   bool doNext(Result& out) override;
   void doRestart() override;
+  void forEachChild(Visit fn) override {
+    for (auto& c : children_) fn(*c);
+  }
 
  private:
   std::vector<GenPtr> children_;
@@ -58,6 +61,7 @@ class ProductGen final : public Gen {
  protected:
   bool doNext(Result& out) override;
   void doRestart() override;
+  void forEachChild(Visit fn) override { visit(fn, left_, right_); }
 
  private:
   GenPtr left_, right_;
@@ -82,6 +86,9 @@ class AltGen final : public Gen {
  protected:
   bool doNext(Result& out) override;
   void doRestart() override;
+  void forEachChild(Visit fn) override {
+    for (auto& c : children_) fn(*c);
+  }
 
  private:
   std::vector<GenPtr> children_;
@@ -101,6 +108,7 @@ class InGen final : public Gen {
  protected:
   bool doNext(Result& out) override;
   void doRestart() override;
+  void forEachChild(Visit fn) override { fn(*source_); }
 
  private:
   VarPtr var_;
@@ -122,6 +130,7 @@ class LimitGen final : public Gen {
  protected:
   bool doNext(Result& out) override;
   void doRestart() override;
+  void forEachChild(Visit fn) override { visit(fn, expr_, bound_); }
 
  private:
   GenPtr expr_, bound_;
@@ -139,6 +148,7 @@ class NotGen final : public Gen {
  protected:
   bool doNext(Result& out) override;
   void doRestart() override;
+  void forEachChild(Visit fn) override { fn(*expr_); }
 
  private:
   GenPtr expr_;
@@ -156,6 +166,7 @@ class RepeatAltGen final : public Gen {
  protected:
   bool doNext(Result& out) override;
   void doRestart() override;
+  void forEachChild(Visit fn) override { fn(*expr_); }
 
  private:
   GenPtr expr_;
@@ -178,6 +189,7 @@ class PromoteGen final : public Gen {
  protected:
   bool doNext(Result& out) override;
   void doRestart() override;
+  void forEachChild(Visit fn) override { fn(*operand_); }
 
  private:
   GenPtr operand_;

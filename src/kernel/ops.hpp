@@ -93,6 +93,7 @@ class UnOpGen final : public Gen {
  protected:
   bool doNext(Result& out) override;
   void doRestart() override { operand_->restart(); }
+  void forEachChild(Visit fn) override { fn(*operand_); }
 
  private:
   GenPtr operand_;
@@ -114,6 +115,7 @@ class BinOpGen final : public Gen {
  protected:
   bool doNext(Result& out) override;
   void doRestart() override;
+  void forEachChild(Visit fn) override { visit(fn, left_, right_); }
 
  private:
   GenPtr left_, right_;
@@ -143,6 +145,9 @@ class DelegateGen final : public Gen {
  protected:
   bool doNext(Result& out) override;
   void doRestart() override;
+  void forEachChild(Visit fn) override {
+    for (auto& op : operands_) fn(*op);
+  }
 
  private:
   bool advanceTuple();

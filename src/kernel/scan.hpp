@@ -63,6 +63,7 @@ class ScanGen final : public Gen {
  protected:
   bool doNext(Result& out) override;
   void doRestart() override;
+  void forEachChild(Visit fn) override { visit(fn, subject_, body_); }
 
  private:
   GenPtr subject_, body_;

@@ -5,7 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <thread>
+
 #include "builtins/builtins.hpp"
+#include "obs/metrics.hpp"
+#include "obs/runtime_stats.hpp"
 #include "runtime/collections.hpp"
 #include "runtime/error.hpp"
 
@@ -296,6 +301,55 @@ TEST(EvalHostInterop, CallLoadedProcedureFromHost) {
   EXPECT_THROW(interp.call("nosuch", {}), IconError);
   EXPECT_EQ(interp.call("sqrt", {Value::integer(16)})->nextValue()->real(), 4.0)
       << "builtins reachable through call()";
+}
+
+// A body releases its tree as it parks for reuse, so a pooled body pins
+// nothing its last call left behind.
+
+Interpreter::Options onBackend(Backend backend) {
+  Interpreter::Options options;
+  options.backend = backend;
+  return options;
+}
+
+TEST(BodyRelease, PipeAbandonedByReturnStopsWithTheCall) {
+  obs::enableMetrics();
+  auto& pipes = obs::PipeStats::get().live;
+  auto& depth = obs::QueueStats::get().depth;
+  for (const Backend backend : {Backend::kTree, Backend::kVm}) {
+    SCOPED_TRACE(backend == Backend::kVm ? "vm" : "tree");
+    Interpreter interp(onBackend(backend));
+    interp.load("def h(p) { return !p; }  def run() { return h(|> (1 to 1000000)); }");
+    const auto pipes0 = pipes.value();
+    const auto depth0 = depth.value();
+    // `return` leaves h's `!p` mid-stream over a producer that fills its
+    // ring and blocks; neither parked body (h's, run's) may keep it alive.
+    EXPECT_EQ(interp.evalOne("run()")->smallInt(), 1);
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while ((pipes.value() != pipes0 || depth.value() != depth0) &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    EXPECT_EQ(pipes.value() - pipes0, 0) << "pipe.live after h returned";
+    EXPECT_EQ(depth.value() - depth0, 0) << "queue.depth after h returned";
+  }
+  obs::disableMetrics();
+}
+
+TEST(BodyRelease, ReloadedRecursiveProcedureIsFreed) {
+  const char* src = "def f(n) { if n <= 0 then return 0; return f(n - 1); }";
+  for (const Backend backend : {Backend::kTree, Backend::kVm}) {
+    SCOPED_TRACE(backend == Backend::kVm ? "vm" : "tree");
+    Interpreter interp(onBackend(backend));
+    interp.load(src);
+    EXPECT_EQ(interp.evalOne("f(5)")->smallInt(), 0);
+    const ProcPtr old = interp.global("f")->proc();
+    interp.load(src);
+    ASSERT_NE(interp.global("f")->proc().get(), old.get());
+    // The old f's parked bodies called f: holding its value would be a
+    // cycle pool -> body -> f -> pool that outlives the redefinition.
+    EXPECT_EQ(old.use_count(), 1) << "the replaced procedure is still referenced";
+  }
 }
 
 }  // namespace

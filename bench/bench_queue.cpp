@@ -10,6 +10,8 @@
 // items/s should hold near-flat as N grows.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -113,6 +115,32 @@ void pipeThroughput(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kItems);
 }
 
+void pipeSlowProducer(benchmark::State& state) {
+  // The DataParallel shape: the producer spends about half a microsecond
+  // per element (a chunk's word hashing) and the consumer only sums.
+  // The consumer keeps catching up with the producer and finding the
+  // ring empty, so this row measures what an empty-ring wait costs.
+  static constexpr std::int64_t kItems = 20000;
+  static constexpr auto kWork = std::chrono::nanoseconds(500);
+  for (auto _ : state) {
+    auto pipe = Pipe::create([] {
+      return CallbackGen::create([]() -> CallbackGen::Puller {
+        return [n = std::int64_t{0}]() mutable -> std::optional<Value> {
+          if (n == kItems) return std::nullopt;
+          const auto until = std::chrono::steady_clock::now() + kWork;
+          while (std::chrono::steady_clock::now() < until) {
+          }
+          return Value::integer(++n);
+        };
+      });
+    });
+    std::int64_t sum = 0;
+    while (auto v = pipe->activate()) sum += v->smallInt();
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(state.iterations() * kItems);
+}
+
 void pipelinesScaling(benchmark::State& state) {
   // N independent pipelines, each a pipe producer on the shared pool
   // drained by its own consumer thread. The row family's items/s holding
@@ -154,6 +182,10 @@ BENCHMARK(queueHandoffBatched)->Name("queue/handoff_batched")
     ->Args({1024, 1})->Args({1024, 8})->Args({1024, 64})->Args({1024, 256})
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(queueUncontended)->Name("queue/uncontended");
+// UseRealTime: the metric is the stream's wall-clock rate, and the
+// consumer's CPU time depends on how it waits.
+BENCHMARK(pipeSlowProducer)->Name("queue/handoff_slow_producer")->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 BENCHMARK(pipeThroughput)->Name("queue/pipe_capacity")->Arg(1)->Arg(4)->Arg(64)->Arg(1024)
     ->Unit(benchmark::kMillisecond);
 // UseRealTime: the bench thread only spawns and joins the consumers, so

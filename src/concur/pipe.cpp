@@ -48,16 +48,17 @@ std::size_t handoffCap(const SpscRing<Value>& queue) {
 
 /// The producer half of the hand-off. Runs on a pool thread, draining
 /// the co-expression body into a local buffer and publishing whole
-/// segments with one putAllFor per flush. The batch size adapts: it
-/// starts at 1 (first result reaches the consumer with no batching
-/// latency), doubles toward the cap while the consumer keeps up, and
-/// halves whenever a flush finds the consumer already blocked in
-/// activate() — at that point buffering further values only adds
-/// latency. Each round's goal is additionally clamped to the queue's
-/// spare capacity, so the producer runs at most capacity + 1 values
-/// ahead of the consumer. A capacity-1 pipe (a future or mailbox) has
-/// cap 1: every goal is 1, so each value is published as it is produced
-/// — the rendezvous of Section III.B, with no separate path.
+/// segments with one putAllFor per flush. Each round's goal is the
+/// ring's spare capacity, clamped to [1, cap]: the producer runs at most
+/// capacity + 1 values ahead of the consumer, and a round never buffers
+/// more than one flush can publish. A round ends early when
+/// waitingConsumers() reports a parked taker — it is asleep, so further
+/// values would only add latency. A consumer that is still spinning
+/// (SpscRing's spin before park) is not parked: the round keeps filling,
+/// and the spin picks the flush up without a wake syscall on either
+/// side. A capacity-1 pipe (a future or mailbox) has cap 1: every goal
+/// is 1, so each value is published as it is produced — the rendezvous
+/// of Section III.B, with no separate path.
 ///
 /// Cancellation: the generation loop checks the token between results
 /// (one relaxed load) and every flush waits cancellably, so a cancelled
@@ -67,14 +68,11 @@ void runProducer(SpscRing<Value>& queue, Gen& body, const CancelToken& token) {
   const std::size_t cap = handoffCap(queue);
   std::vector<Value> buffer;
   std::size_t accepted = 0;
-  std::size_t batch = 1;
   bool open = true;
   while (open && !token.cancelled()) {
     const std::size_t size = queue.size();
     const std::size_t spare = queue.capacity() > size ? queue.capacity() - size : 0;
-    const std::size_t goal =
-        std::clamp<std::size_t>(std::min(batch, spare), 1, cap);
-    bool starved = false;
+    const std::size_t goal = std::clamp<std::size_t>(spare, 1, cap);
     try {
       while (buffer.size() < goal) {
         auto v = body.nextValue();
@@ -87,10 +85,7 @@ void runProducer(SpscRing<Value>& queue, Gen& body, const CancelToken& token) {
           open = false;
           break;
         }
-        if (queue.waitingConsumers() > 0) {
-          starved = true;  // consumer is blocked: flush now, batch smaller
-          break;
-        }
+        if (queue.waitingConsumers() > 0) break;  // a parked taker: flush now
       }
     } catch (...) {
       // Every result generated before an error reaches the consumer
@@ -110,7 +105,6 @@ void runProducer(SpscRing<Value>& queue, Gen& body, const CancelToken& token) {
     if (obs::metricsEnabled()) [[unlikely]] {
       obs::PipeStats::get().batchesFlushed.add(1);
     }
-    batch = starved ? std::max<std::size_t>(1, batch / 2) : std::min(cap, batch * 2);
   }
 }
 

@@ -9,13 +9,15 @@
 //
 // The producer drives the co-expression on a pool thread, handing its
 // results to a bounded SpscRing (one producer, one consumer: exactly the
-// ring's contract) in adaptive batches of at most min(64, capacity) —
-// one protocol for every pipe, which at capacity 1 publishes each value
-// as it is produced; activation (@) takes from the ring. Bounding the
-// capacity throttles the producer. Destroying a pipe closes the ring,
-// which makes the producer's flush fail so an abandoned pipe can never
-// deadlock a worker. A capacity-1 pipe over a singleton expression is a
-// future.
+// ring's contract) in batches of at most min(64, capacity) — one
+// protocol for every pipe, which at capacity 1 publishes each value as
+// it is produced; activation (@) takes from the ring. The ring stays
+// private to the pipe: nothing else can put, take or close it, so the
+// producer's close at end-of-stream and ~Pipe's close on the consumer's
+// side are its only closes. Bounding the capacity throttles the
+// producer. Destroying a pipe closes the ring, which makes the
+// producer's flush fail so an abandoned pipe can never deadlock a
+// worker. A capacity-1 pipe over a singleton expression is a future.
 //
 // Structured cancellation (see cancel.hpp): every pipe owns a
 // StopSource, and every queue wait on either side uses that pipe's own
@@ -105,13 +107,16 @@ class Pipe final : public CoExpression {
   /// ^p: a fresh pipe over a fresh environment copy.
   [[nodiscard]] CoExprPtr refreshed() const override;
 
-  /// The output channel, "exposed as a public field to permit further
-  /// manipulation" (Section III.B). It is a 1-producer/1-consumer ring,
-  /// and the pipe's own producer task and activation site already hold
-  /// both sides: extra threads must not call same-side ops concurrently.
-  /// Debug builds enforce this with an assert (size/closed/capacity stay
-  /// any-thread safe).
-  [[nodiscard]] SpscRing<Value>& queue() const noexcept { return state_->queue; }
+  /// Read-only view of the output channel, safe from any thread. The
+  /// paper exposes the queue "as a public field to permit further
+  /// manipulation" (Section III.B); here the producer task and the
+  /// activation site hold its only two sides, so a view is all that is
+  /// left to share.
+  [[nodiscard]] std::size_t capacity() const noexcept { return state_->queue.capacity(); }
+  /// Values buffered in the channel (approximate while both sides run).
+  [[nodiscard]] std::size_t size() const noexcept { return state_->queue.size(); }
+  /// Whether the channel is closed: end-of-stream, cancel or abandonment.
+  [[nodiscard]] bool closed() const noexcept { return state_->queue.closed(); }
 
   /// Diagnostic dump of every live pipe in the process (queue depth,
   /// close/cancel flags, results delivered) — the payload of the

@@ -36,6 +36,9 @@
 //    the waiter's re-check sees the state change — the store-buffer
 //    interleaving where both miss is forbidden by the fence pair, so a
 //    wakeup can never be lost.
+//  * spin before park: a consumer the ring has already fed first polls
+//    for kConsumerSpin. The spin publishes no flag, so the waker sees
+//    nobody parked and the argument above is unchanged.
 //
 // THREADING CONTRACT: at most one thread calls the put-side ops and at
 // most one thread calls the take-side ops at any moment (the sides may
@@ -52,6 +55,7 @@
 #include <cstdint>
 #include <iterator>
 #include <optional>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -63,8 +67,6 @@
 #include <cerrno>
 #include <climits>
 #include <ctime>
-#else
-#include <thread>
 #endif
 
 #include "concur/cancel.hpp"
@@ -142,11 +144,36 @@ inline bool waitUntil(std::atomic<std::uint32_t>& w, std::uint32_t expected,
 #endif
 }
 
+/// How long a consumer that finds the ring empty polls before it parks
+/// (docs/INTERNALS.md §12, "Spin before park"). A time constant, not a
+/// setting: it covers one full 64-value flush from a producer spending
+/// up to about 0.75 µs per value, and it is far shorter than a fresh
+/// pipe's wait for a pool worker.
+inline constexpr std::chrono::microseconds kConsumerSpin{50};
+/// Polls between two steady_clock reads while spinning.
+inline constexpr unsigned kPollsPerClockCheck = 32;
+
+/// One polite poll interval: tells the core this is a spin-wait loop.
+inline void cpuRelax() noexcept {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield" ::: "memory");
+#endif
+}
+
+/// Spinning only pays when the producer can run while the consumer
+/// polls, which needs a second hardware thread.
+inline bool spinCanHelp() noexcept {
+  static const bool multiCore = std::thread::hardware_concurrency() > 1;
+  return multiCore;
+}
+
 #ifndef NDEBUG
 /// Debug-build guard for the ring's 1P/1C contract: each side's ops
 /// flip a busy flag for the duration of the call, so two threads
-/// concurrently inside the same side — the UB `Pipe::queue()` warns
-/// about — trip an assert with a pointed message instead of racing
+/// concurrently inside the same side — a data race on that side's
+/// index — trip an assert with a pointed message instead of racing
 /// silently. Relaxed on purpose: the guard must not add happens-before
 /// edges that could hide the underlying race from TSan. Legal side
 /// migration (external happens-before between old and new thread)
@@ -156,8 +183,8 @@ class SideGuard {
   explicit SideGuard(std::atomic<bool>& busy) noexcept : busy_(busy) {
     const bool wasBusy = busy_.exchange(true, std::memory_order_relaxed);
     assert(!wasBusy &&
-           "SpscRing: concurrent calls on one side; a ring (and so Pipe::queue()) "
-           "allows one producer thread and one consumer thread at a time");
+           "SpscRing: concurrent calls on one side; a ring allows one producer "
+           "thread and one consumer thread at a time");
     (void)wasBusy;
   }
   ~SideGuard() { busy_.store(false, std::memory_order_relaxed); }
@@ -446,8 +473,10 @@ class SpscRing {
 
   [[nodiscard]] std::size_t capacity() const noexcept { return bound_; }
 
-  /// Starvation signal for the adaptive batcher: 1 while the consumer is
-  /// parked waiting for data (SPSC — there is at most one).
+  /// Flush-now signal for a batching producer: 1 while the consumer is
+  /// parked waiting for data (SPSC — there is at most one). A consumer
+  /// that is still spinning does not count: the producer keeps filling
+  /// its batch, and the spin picks the batch up when it lands.
   [[nodiscard]] std::size_t waitingConsumers() const noexcept {
     return consumerParked_.load(std::memory_order_relaxed) != 0 ? 1 : 0;
   }
@@ -574,7 +603,41 @@ class SpscRing {
     return !expired;
   }
 
+  // Spin before park (INTERNALS §12): a consumer that has already been
+  // fed polls tail_/closed_/the token for up to kConsumerSpin before the
+  // fence-paired park, so a streaming producer's next value costs
+  // neither side a futex syscall. The spin publishes nothing — the
+  // producer sees no parked flag, issues no wake and keeps batching —
+  // so the lost-wakeup argument is the park's alone. Returns true when
+  // the caller should re-check instead of parking.
+  bool spinForData(const CancelToken& token, const QueueDeadline& deadline, bool metrics) {
+    const std::uint64_t h = head_.load(std::memory_order_relaxed);
+    // A fresh ring's first take waits for the producer task to start,
+    // which no spin covers; and one core spins only against itself.
+    if (h == 0 || !spsc_detail::spinCanHelp()) return false;
+    auto until = std::chrono::steady_clock::now();
+    if (deadline && until >= *deadline) return false;
+    until += spsc_detail::kConsumerSpin;
+    if (deadline) until = std::min(until, *deadline);
+    if (metrics) [[unlikely]] obs::RingStats::get().consumerSpins.add(1);
+    for (unsigned polls = 1;; ++polls) {
+      spsc_detail::cpuRelax();
+      // Relaxed suffices: the caller re-reads tail_ with acquire
+      // (availableAt) and closed_ with acquire before acting on either.
+      if (tail_.load(std::memory_order_relaxed) != h ||
+          closed_.load(std::memory_order_relaxed) || token.cancelled()) {
+        if (metrics) [[unlikely]] obs::RingStats::get().spinHits.add(1);
+        return true;
+      }
+      if (polls % spsc_detail::kPollsPerClockCheck == 0 &&
+          std::chrono::steady_clock::now() >= until) {
+        return false;
+      }
+    }
+  }
+
   bool parkConsumerFor(const CancelToken& token, const QueueDeadline& deadline, bool metrics) {
+    if (spinForData(token, deadline, metrics)) return true;
     const std::uint32_t s = notEmptySeq_.load(std::memory_order_acquire);
     consumerParked_.store(1, std::memory_order_relaxed);
     std::atomic_thread_fence(std::memory_order_seq_cst);

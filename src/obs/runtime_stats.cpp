@@ -52,6 +52,8 @@ RingStats& RingStats::get() {
       r.counter("ring.producer_parks"),
       r.counter("ring.consumer_parks"),
       r.counter("ring.wakes"),
+      r.counter("ring.consumer_spins"),
+      r.counter("ring.spin_hits"),
   };
   return *s;
 }

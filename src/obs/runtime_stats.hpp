@@ -73,6 +73,8 @@ struct RingStats {
   Counter& producerParks;  ///< producer futex-park episodes (ring full)
   Counter& consumerParks;  ///< consumer futex-park episodes (ring empty)
   Counter& wakes;          ///< cross-side wakeups issued (parked flag seen)
+  Counter& consumerSpins;  ///< consumer spin phases started before a park
+  Counter& spinHits;       ///< spins that ended without parking
   static RingStats& get();
 };
 

@@ -146,13 +146,13 @@ TEST(PipeCancel, CancelUnblocksProducerOnFullQueue) {
   ThreadPool pool;
   auto pipe = Pipe::create([] { return infinite(); }, /*capacity=*/2, pool);
   // Wait until the producer has filled the queue and is blocked in put.
-  while (pipe->queue().size() < 2) std::this_thread::sleep_for(1ms);
+  while (pipe->size() < 2) std::this_thread::sleep_for(1ms);
   pipe->cancel();
   // The producer must return within one queue operation: its task
   // completes and closes the queue without anyone draining it.
   pool.shutdown();
   EXPECT_EQ(pool.tasksCompleted(), 1u);
-  EXPECT_TRUE(pipe->queue().closed());
+  EXPECT_TRUE(pipe->closed());
   EXPECT_FALSE(pipe->activate().has_value()) << "cancelled pipe fails, not blocks";
   EXPECT_FALSE(pipe->activate().has_value()) << "and stays failed";
 }
@@ -173,17 +173,17 @@ TEST(PipeCancel, FourStageChainUnblocksEveryProducer) {
   p3->cancelWith(p4->cancelToken());
   // Let every stage fill: all four queues at capacity, all four
   // producers blocked in a put.
-  while (p1->queue().size() < 2 || p2->queue().size() < 2 || p3->queue().size() < 2 ||
-         p4->queue().size() < 2) {
+  while (p1->size() < 2 || p2->size() < 2 || p3->size() < 2 ||
+         p4->size() < 2) {
     std::this_thread::sleep_for(1ms);
   }
   p4->cancel();
   pool.shutdown();  // joins all workers: hangs (and times out) if any producer stayed blocked
   EXPECT_EQ(pool.tasksCompleted(), 4u);
-  EXPECT_TRUE(p1->queue().closed());
-  EXPECT_TRUE(p2->queue().closed());
-  EXPECT_TRUE(p3->queue().closed());
-  EXPECT_TRUE(p4->queue().closed());
+  EXPECT_TRUE(p1->closed());
+  EXPECT_TRUE(p2->closed());
+  EXPECT_TRUE(p3->closed());
+  EXPECT_TRUE(p4->closed());
 }
 
 TEST(PipeCancel, PipelineBuildCancellableStopsAllStages) {
@@ -317,7 +317,7 @@ TEST(FutureError, FailureIsNotAnError) {
 TEST(PipeDump, DumpAllReportsLivePipes) {
   ThreadPool pool;
   auto pipe = Pipe::create([] { return test::range(1, 4); }, 8, pool);
-  while (!pipe->queue().closed()) std::this_thread::sleep_for(1ms);
+  while (!pipe->closed()) std::this_thread::sleep_for(1ms);
   std::ostringstream os;
   Pipe::dumpAll(os);
   const std::string dump = os.str();

@@ -119,7 +119,7 @@ TEST(PipeRefresh, RefreshedPipeRestartsFromScratch) {
   auto pipe = Pipe::create(factory, /*capacity=*/16);
   EXPECT_EQ(pipe->activate()->smallInt(), 1);
   auto fresh = rcStaticCast<Pipe>(pipe->refreshed());
-  EXPECT_EQ(fresh->queue().capacity(), 16u) << "^pipe keeps the capacity (and so the hand-off cap)";
+  EXPECT_EQ(fresh->capacity(), 16u) << "^pipe keeps the capacity (and so the hand-off cap)";
   EXPECT_EQ(fresh->activate()->smallInt(), 1) << "^pipe starts over";
   EXPECT_GE(builds.load(), 2);
 }
@@ -151,11 +151,16 @@ TEST(PipeChain, TwoStagePipeline) {
   for (int i = 0; i < 50; ++i) EXPECT_EQ(got[static_cast<std::size_t>(i)], 2 * (i + 1));
 }
 
-TEST(PipeQueueExposure, PublicQueueAllowsExtraManipulation) {
-  // "The output blocking queue ... is exposed as a public field to
-  // permit further manipulation."
+TEST(PipeQueueExposure, ReadOnlyViewOfTheChannel) {
+  // The paper exposes the output queue "as a public field to permit
+  // further manipulation"; a pipe shares a read-only view of it, since
+  // its producer task and activation site hold both sides.
   auto pipe = Pipe::create([] { return test::range(1, 3); }, 8);
-  EXPECT_EQ(pipe->queue().capacity(), 8u);
+  EXPECT_EQ(pipe->capacity(), 8u);
+  while (!pipe->closed()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_EQ(pipe->size(), 3u) << "the producer closed after buffering all three values";
+  EXPECT_EQ(pipe->activate()->smallInt(), 1);
+  EXPECT_EQ(pipe->size(), 0u) << "one take drained the buffered batch into the consumer";
 }
 
 TEST(PipeCapacity, EveryCapacityIsBoundedIntoTheRing) {
@@ -165,7 +170,7 @@ TEST(PipeCapacity, EveryCapacityIsBoundedIntoTheRing) {
       {0, 1}, {1, 1}, {1024, 1024}, {std::size_t{1} << 30, Pipe::kMaxCapacity}};
   for (const auto& [requested, bounded] : cases) {
     auto pipe = Pipe::create([] { return test::range(1, 3); }, requested);
-    EXPECT_EQ(pipe->queue().capacity(), bounded) << "requested " << requested;
+    EXPECT_EQ(pipe->capacity(), bounded) << "requested " << requested;
     EXPECT_EQ(pipe->activate()->smallInt(), 1);
   }
   EXPECT_EQ(Pipe::kMaxCapacity, std::size_t{1} << 20);
@@ -178,7 +183,7 @@ std::size_t interpretedPipeCapacity(interp::Interpreter& interp) {
   if (!v || !v->isCoExpr()) return 0;
   auto* pipe = dynamic_cast<Pipe*>(v->coExpr().get());
   EXPECT_NE(pipe, nullptr);
-  return pipe != nullptr ? pipe->queue().capacity() : 0;
+  return pipe != nullptr ? pipe->capacity() : 0;
 }
 
 TEST(PipeCapacity, InterpreterPipesAreAlwaysBounded) {
@@ -225,7 +230,7 @@ TEST(PipeKernelNode, MakePipeCreateGenYieldsPipeValue) {
 
 TEST(PipeBatching, MailboxStreamsInOrder) {
   // Capacity 1 is the future/M-var: its hand-off cap is 1, so the
-  // adaptive loop publishes each value as it is produced — the
+  // batching loop publishes each value as it is produced — the
   // rendezvous — and the stream is the plain one.
   auto mailbox = Pipe::create([] { return test::range(1, 3); }, /*capacity=*/1);
   std::vector<std::int64_t> got;
@@ -234,8 +239,9 @@ TEST(PipeBatching, MailboxStreamsInOrder) {
 }
 
 TEST(PipeBatching, BatchedStreamPreservesOrderAndCompleteness) {
-  // Small queue + large stream: the adaptive accumulator grows and
-  // shrinks across the run; the observable stream must be untouched.
+  // Small queue + large stream: the producer's flushes and the
+  // consumer's drains split the stream at ring-space boundaries; the
+  // observable stream must be untouched.
   auto pipe = Pipe::create([] { return test::range(1, 500); }, /*capacity=*/4);
   std::int64_t expect = 1;
   while (auto v = pipe->activate()) EXPECT_EQ(v->requireInt64(), expect++);
@@ -259,7 +265,7 @@ TEST(PipeBatching, ProducerRunsAtMostCapacityPlusOneAhead) {
           });
         },
         capacity);
-    while (pipe->queue().size() < capacity) {
+    while (pipe->size() < capacity) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(20));  // room to overshoot

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "concur/cancel.hpp"
+#include "obs/runtime_stats.hpp"
 
 namespace congen {
 namespace {
@@ -291,6 +292,151 @@ TEST(SpscRingHandoff, BulkHandoffAcrossThreads) {
   }
   producer.join();
   EXPECT_EQ(expect, kItems);
+}
+
+// ---------------------------------------------------------------------
+// Spin before park: a consumer the ring has already fed polls for a
+// short fixed budget before it parks. The spin must end exactly as the
+// park would (close, cancel, deadline), and it must be skipped where it
+// cannot help.
+// ---------------------------------------------------------------------
+
+/// Turns metrics on for one test and restores the flag after it.
+class MetricsOn {
+ public:
+  MetricsOn() : was_(obs::metricsEnabled()) { obs::enableMetrics(); }
+  ~MetricsOn() {
+    if (!was_) obs::disableMetrics();
+  }
+  MetricsOn(const MetricsOn&) = delete;
+  MetricsOn& operator=(const MetricsOn&) = delete;
+
+ private:
+  bool was_;
+};
+
+/// A ring that has delivered one element, so its next empty take spins.
+std::unique_ptr<SpscRing<int>> fedRing() {
+  auto ring = std::make_unique<SpscRing<int>>(4);
+  EXPECT_TRUE(ring->tryPut(0));
+  EXPECT_EQ(ring->tryTake(), 0);
+  return ring;
+}
+
+/// Busy-waits about `d`; a sleep would hand the core back to the
+/// scheduler and stretch the gap far past it.
+void busyFor(std::chrono::nanoseconds d) {
+  const auto until = std::chrono::steady_clock::now() + d;
+  while (std::chrono::steady_clock::now() < until) {
+  }
+}
+
+TEST(SpscRingSpin, CloseFromTheProducerEndsASpinningTake) {
+  // The close lands a few hundred nanoseconds after the take starts, so
+  // most rounds catch the consumer in its spin rather than its park.
+  for (int round = 0; round < 100; ++round) {
+    auto ring = fedRing();
+    std::atomic<bool> taking{false};
+    QueueOpStatus status = QueueOpStatus::kOk;
+    std::thread consumer([&] {
+      std::vector<int> out;
+      taking.store(true);
+      status = ring->takeUpToFor(out, 4, CancelToken{});
+      EXPECT_TRUE(out.empty());
+    });
+    while (!taking.load()) std::this_thread::yield();
+    busyFor(std::chrono::nanoseconds(200 * (round % 10)));
+    ring->close();
+    consumer.join();
+    EXPECT_EQ(status, QueueOpStatus::kClosed) << "round " << round;
+  }
+}
+
+TEST(SpscRingSpin, CancelEndsASpinningTake) {
+  for (int round = 0; round < 100; ++round) {
+    auto ring = fedRing();
+    StopSource source;
+    std::atomic<bool> taking{false};
+    QueueOpStatus status = QueueOpStatus::kOk;
+    std::thread consumer([&] {
+      std::vector<int> out;
+      taking.store(true);
+      status = ring->takeUpToFor(out, 4, source.token());
+    });
+    while (!taking.load()) std::this_thread::yield();
+    busyFor(std::chrono::nanoseconds(200 * (round % 10)));
+    source.requestStop();
+    consumer.join();
+    EXPECT_EQ(status, QueueOpStatus::kCancelled) << "round " << round;
+  }
+}
+
+TEST(SpscRingSpin, PassedDeadlineTimesOutWithoutSpinning) {
+  MetricsOn metrics;
+  auto& stats = obs::RingStats::get();
+  auto ring = fedRing();
+  StopSource source;
+  const auto spins = stats.consumerSpins.value();
+  std::vector<int> out;
+  EXPECT_EQ(ring->takeUpToFor(out, 4, CancelToken{}, after(-10ms)), QueueOpStatus::kTimedOut);
+  EXPECT_EQ(ring->takeUpToFor(out, 4, source.token(), after(-10ms)), QueueOpStatus::kTimedOut);
+  EXPECT_EQ(stats.consumerSpins.value(), spins) << "a passed deadline must not spin";
+}
+
+TEST(SpscRingSpin, DeadlineBoundsTheSpin) {
+  // A deadline shorter than the spin budget still times out on time:
+  // the spin stops at the deadline, then the park returns at once.
+  auto ring = fedRing();
+  std::vector<int> out;
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto deadline = t0 + std::chrono::microseconds(2);
+  EXPECT_EQ(ring->takeUpToFor(out, 4, CancelToken{}, deadline), QueueOpStatus::kTimedOut);
+  EXPECT_GE(std::chrono::steady_clock::now(), deadline);
+}
+
+TEST(SpscRingSpin, FirstTakeOnAFreshRingParksWithoutSpinning) {
+  MetricsOn metrics;
+  auto& stats = obs::RingStats::get();
+  const auto spins = stats.consumerSpins.value();
+  const auto parks = stats.consumerParks.value();
+  SpscRing<int> ring(4);
+  std::thread consumer([&] { EXPECT_EQ(ring.take(), 1); });
+  while (ring.waitingConsumers() == 0) std::this_thread::yield();
+  ASSERT_TRUE(ring.put(1));
+  consumer.join();
+  EXPECT_EQ(stats.consumerSpins.value(), spins) << "nothing delivered yet: park at once";
+  EXPECT_GE(stats.consumerParks.value(), parks + 1);
+}
+
+TEST(SpscRingSpin, StreamingProducerIsCaughtBySpins) {
+  // The DataParallel shape: values arrive about half a microsecond
+  // apart, well inside the spin budget, so after the first delivery a
+  // consumer running beside the producer finds them by spinning. A host
+  // that runs the two threads in turns on one core defeats any spin, so
+  // the stream repeats (with fresh threads) until a spin catches a value.
+  if (std::thread::hardware_concurrency() < 2) GTEST_SKIP() << "spinning needs two cores";
+  MetricsOn metrics;
+  auto& stats = obs::RingStats::get();
+  const auto spins = stats.consumerSpins.value();
+  const auto hits = stats.spinHits.value();
+  constexpr int kItems = 2000;
+  for (int round = 0; round < 50 && stats.spinHits.value() == hits; ++round) {
+    SpscRing<int> ring(1024);
+    std::thread producer([&] {
+      for (int i = 0; i < kItems; ++i) {
+        busyFor(std::chrono::nanoseconds(500));
+        ASSERT_TRUE(ring.put(i));
+      }
+      ring.close();
+    });
+    int expect = 0;
+    while (auto v = ring.take()) EXPECT_EQ(*v, expect++);
+    producer.join();
+    EXPECT_EQ(expect, kItems);
+  }
+  EXPECT_GT(stats.consumerSpins.value(), spins);
+  EXPECT_GT(stats.spinHits.value(), hits) << "no spin ever caught a value";
+  EXPECT_LE(stats.spinHits.value() - hits, stats.consumerSpins.value() - spins);
 }
 
 // ---------------------------------------------------------------------

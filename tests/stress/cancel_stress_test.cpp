@@ -166,13 +166,13 @@ TEST(CancelStress, FourStageChainCancelUnderJitter) {
     if (r % 3 == 1) {
       for (int k = 0; k < 5; ++k) p4->activate();
     } else if (r % 3 == 2) {
-      ASSERT_TRUE(eventually([&] { return p4->queue().size() >= 2; }));
+      ASSERT_TRUE(eventually([&] { return p4->size() >= 2; }));
     }
     p4->cancel();
     pool.shutdown();  // hangs the test (TIMEOUT 300) if any producer stays blocked
     EXPECT_EQ(pool.tasksCompleted(), 4u) << "round " << r;
-    EXPECT_TRUE(p1->queue().closed());
-    EXPECT_TRUE(p4->queue().closed());
+    EXPECT_TRUE(p1->closed());
+    EXPECT_TRUE(p4->closed());
   }
   if (hooks) FaultInjector::instance().disarm();
 }
